@@ -599,11 +599,11 @@ impl WrapperBuilder {
 
         let mode = config.plan_mode.unwrap_or_else(plan_mode_from_env);
         RobustnessWrapper {
-            decls: decl_map,
-            plans,
-            assertions,
-            index,
-            entries,
+            decls: Arc::new(decl_map),
+            plans: Arc::new(plans),
+            assertions: Arc::new(assertions),
+            index: Arc::new(index),
+            entries: Arc::new(entries),
             caps,
             mode,
             config,
@@ -735,20 +735,26 @@ struct FnEntry {
 pub struct FnId(u32);
 
 /// The generated robustness wrapper: a drop-in layer over [`Libc`].
+///
+/// The compiled program — declarations, plans, assertions and the
+/// dispatch entries — is immutable after [`WrapperBuilder::build`] and
+/// shared behind `Arc`, so a `clone()` (one per Ballista test vector)
+/// copies only the per-run state: tracking tables, validity cache,
+/// stats and violation log.
 #[derive(Debug, Clone)]
 pub struct RobustnessWrapper {
-    decls: BTreeMap<String, FunctionDecl>,
+    decls: Arc<BTreeMap<String, FunctionDecl>>,
     /// Interpreted per-function check plans: the checkable supertype of
     /// each argument's robust type (`None` = no check). The reference
     /// program [`PlanMode::Interpreted`] executes; also feeds
     /// diagnostics ([`RobustnessWrapper::plan`]) and wrapper emission.
-    plans: BTreeMap<String, Vec<Option<TypeExpr>>>,
-    assertions: BTreeMap<String, Vec<SizeAssertion>>,
+    plans: Arc<BTreeMap<String, Vec<Option<TypeExpr>>>>,
+    assertions: Arc<BTreeMap<String, Vec<SizeAssertion>>>,
     /// Hoisted dispatch: name → [`FnEntry`] slot. One lookup per call
     /// answers wrapped/safe/tracked/unknown at once.
-    index: BTreeMap<String, usize>,
+    index: Arc<BTreeMap<String, usize>>,
     /// Per-function compiled programs and call-path metadata.
-    entries: Vec<FnEntry>,
+    entries: Arc<Vec<FnEntry>>,
     config: WrapperConfig,
     /// Capability snapshot of the config (plan-build capabilities ==
     /// check-evaluation capabilities).

@@ -51,46 +51,20 @@ pub(crate) fn funcs() -> Vec<(&'static str, CFuncImpl)> {
 
 /// Read the length of the string at `s` (internal strlen; no NUL write).
 pub(crate) fn c_strlen(w: &mut World, s: Addr) -> Result<u32, SimFault> {
-    let mut n = 0u32;
-    loop {
-        w.proc.tick(1)?;
-        if w.proc.mem.read_u8(s.wrapping_add(n))? == 0 {
-            return Ok(n);
-        }
-        n = n.wrapping_add(1);
-    }
+    w.proc.scan_until(s, |b| b == 0)
 }
 
 fn strcpy(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (dst, src) = (ptr_arg(args, 0), ptr_arg(args, 1));
-    let mut i = 0u32;
-    loop {
-        w.proc.tick(1)?;
-        let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-        w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
-        if b == 0 {
-            return Ok(SimValue::Ptr(dst));
-        }
-        i = i.wrapping_add(1);
-    }
+    w.proc.copy_cstr(dst, src)?;
+    Ok(SimValue::Ptr(dst))
 }
 
 fn strncpy(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (dst, src) = (ptr_arg(args, 0), ptr_arg(args, 1));
     let n = int_arg(args, 2) as u32; // size_t: negative becomes huge, authentically
-    let mut copying = true;
-    for i in 0..n {
-        w.proc.tick(1)?;
-        let b = if copying {
-            let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-            if b == 0 {
-                copying = false;
-            }
-            b
-        } else {
-            0
-        };
-        w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
+    if let Some(nul) = w.proc.copy_until_nul(dst, src, n)? {
+        w.proc.fill(dst.wrapping_add(nul + 1), 0, n - nul - 1)?;
     }
     Ok(SimValue::Ptr(dst))
 }
@@ -98,16 +72,8 @@ fn strncpy(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
 fn strcat(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (dst, src) = (ptr_arg(args, 0), ptr_arg(args, 1));
     let end = c_strlen(w, dst)?;
-    let mut i = 0u32;
-    loop {
-        w.proc.tick(1)?;
-        let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-        w.proc.mem.write_u8(dst.wrapping_add(end + i), b)?;
-        if b == 0 {
-            return Ok(SimValue::Ptr(dst));
-        }
-        i = i.wrapping_add(1);
-    }
+    w.proc.copy_cstr(dst.wrapping_add(end), src)?;
+    Ok(SimValue::Ptr(dst))
 }
 
 fn strncat(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
@@ -164,17 +130,11 @@ fn strlen(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
 fn strchr(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let s = ptr_arg(args, 0);
     let c = (int_arg(args, 1) & 0xff) as u8;
-    let mut i = 0u32;
-    loop {
-        w.proc.tick(1)?;
-        let b = w.proc.mem.read_u8(s.wrapping_add(i))?;
-        if b == c {
-            return Ok(SimValue::Ptr(s.wrapping_add(i)));
-        }
-        if b == 0 {
-            return Ok(SimValue::NULL);
-        }
-        i = i.wrapping_add(1);
+    let at = s.wrapping_add(w.proc.scan_until(s, |b| b == c || b == 0)?);
+    if w.proc.mem.read_u8(at)? == c {
+        Ok(SimValue::Ptr(at))
+    } else {
+        Ok(SimValue::NULL)
     }
 }
 
@@ -365,11 +325,7 @@ fn strerror(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
 fn memcpy(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (dst, src) = (ptr_arg(args, 0), ptr_arg(args, 1));
     let n = int_arg(args, 2) as u32;
-    for i in 0..n {
-        w.proc.tick(1)?;
-        let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-        w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
-    }
+    w.proc.copy(dst, src, n)?;
     Ok(SimValue::Ptr(dst))
 }
 
@@ -377,17 +333,7 @@ fn memmove(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (dst, src) = (ptr_arg(args, 0), ptr_arg(args, 1));
     let n = int_arg(args, 2) as u32;
     w.proc.tick(u64::from(n))?;
-    if dst <= src || src.wrapping_add(n) <= dst {
-        for i in 0..n {
-            let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-            w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
-        }
-    } else {
-        for i in (0..n).rev() {
-            let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-            w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
-        }
-    }
+    w.proc.mem.move_bytes(dst, src, n)?;
     Ok(SimValue::Ptr(dst))
 }
 
@@ -395,38 +341,26 @@ fn memset(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let dst = ptr_arg(args, 0);
     let c = (int_arg(args, 1) & 0xff) as u8;
     let n = int_arg(args, 2) as u32;
-    for i in 0..n {
-        w.proc.tick(1)?;
-        w.proc.mem.write_u8(dst.wrapping_add(i), c)?;
-    }
+    w.proc.fill(dst, c, n)?;
     Ok(SimValue::Ptr(dst))
 }
 
 fn memcmp(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (a, b) = (ptr_arg(args, 0), ptr_arg(args, 1));
     let n = int_arg(args, 2) as u32;
-    for i in 0..n {
-        w.proc.tick(1)?;
-        let x = w.proc.mem.read_u8(a.wrapping_add(i))?;
-        let y = w.proc.mem.read_u8(b.wrapping_add(i))?;
-        if x != y {
-            return Ok(SimValue::Int(i64::from(x) - i64::from(y)));
-        }
-    }
-    Ok(SimValue::Int(0))
+    let diff = w
+        .proc
+        .compare(a, b, n)?
+        .map_or(0, |(x, y)| i64::from(x) - i64::from(y));
+    Ok(SimValue::Int(diff))
 }
 
 fn memchr(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let s = ptr_arg(args, 0);
     let c = (int_arg(args, 1) & 0xff) as u8;
     let n = int_arg(args, 2) as u32;
-    for i in 0..n {
-        w.proc.tick(1)?;
-        if w.proc.mem.read_u8(s.wrapping_add(i))? == c {
-            return Ok(SimValue::Ptr(s.wrapping_add(i)));
-        }
-    }
-    Ok(SimValue::NULL)
+    let found = w.proc.scan(s, n, |b| b == c)?;
+    Ok(found.map_or(SimValue::NULL, |i| SimValue::Ptr(s.wrapping_add(i))))
 }
 
 fn strcasecmp(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
@@ -462,13 +396,8 @@ fn strncasecmp(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
 fn strnlen(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let s = ptr_arg(args, 0);
     let maxlen = int_arg(args, 1) as u32;
-    for i in 0..maxlen {
-        w.proc.tick(1)?;
-        if w.proc.mem.read_u8(s.wrapping_add(i))? == 0 {
-            return Ok(SimValue::Int(i64::from(i)));
-        }
-    }
-    Ok(SimValue::Int(i64::from(maxlen)))
+    let len = w.proc.scan(s, maxlen, |b| b == 0)?.unwrap_or(maxlen);
+    Ok(SimValue::Int(i64::from(len)))
 }
 
 /// BSD strsep: reads *and updates* a `char **` — a two-level pointer
@@ -500,10 +429,7 @@ fn strsep(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
 fn bzero(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let s = ptr_arg(args, 0);
     let n = int_arg(args, 1) as u32;
-    for i in 0..n {
-        w.proc.tick(1)?;
-        w.proc.mem.write_u8(s.wrapping_add(i), 0)?;
-    }
+    w.proc.fill(s, 0, n)?;
     Ok(SimValue::Void)
 }
 
@@ -513,17 +439,7 @@ fn bcopy(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     let (src, dst) = (ptr_arg(args, 0), ptr_arg(args, 1));
     let n = int_arg(args, 2) as u32;
     w.proc.tick(u64::from(n))?;
-    if dst <= src || src.wrapping_add(n) <= dst {
-        for i in 0..n {
-            let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-            w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
-        }
-    } else {
-        for i in (0..n).rev() {
-            let b = w.proc.mem.read_u8(src.wrapping_add(i))?;
-            w.proc.mem.write_u8(dst.wrapping_add(i), b)?;
-        }
-    }
+    w.proc.mem.move_bytes(dst, src, n)?;
     Ok(SimValue::Void)
 }
 

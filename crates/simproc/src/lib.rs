@@ -50,7 +50,9 @@ pub mod thread;
 pub mod value;
 
 pub use heap::{Heap, HeapBlock, HeapError, HeapMode};
-pub use mem::{AccessKind, AddressSpace, CowStats, PageRun, Protection, SimFault, PAGE_SIZE};
+pub use mem::{
+    AccessKind, AddressSpace, BulkFault, CowStats, PageRun, Protection, SimFault, PAGE_SIZE,
+};
 pub use proc::{SimProcess, HEAP_BASE, INVALID_PTR, STACK_BASE, STACK_SIZE, STATIC_BASE};
 pub use provenance::{BlockAttribution, CoverageSite, FaultSite};
 pub use sandbox::{

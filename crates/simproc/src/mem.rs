@@ -117,11 +117,14 @@ impl fmt::Display for SimFault {
 
 impl std::error::Error for SimFault {}
 
+/// The bytes of one page.
+type Frame = [u8; PAGE_SIZE as usize];
+
 /// The all-zero page frame shared by every fresh mapping, like the
 /// kernel's shared zero page: `map` never allocates or memsets a frame,
 /// and the first write to such a page faults in a private copy.
-fn zero_frame() -> Arc<[u8; PAGE_SIZE as usize]> {
-    static ZERO: OnceLock<Arc<[u8; PAGE_SIZE as usize]>> = OnceLock::new();
+fn zero_frame() -> Arc<Frame> {
+    static ZERO: OnceLock<Arc<Frame>> = OnceLock::new();
     ZERO.get_or_init(|| Arc::new([0u8; PAGE_SIZE as usize]))
         .clone()
 }
@@ -131,7 +134,7 @@ struct Page {
     // Protection lives beside the frame (not inside it) so `protect`
     // never copies page contents.
     prot: Protection,
-    data: Arc<[u8; PAGE_SIZE as usize]>,
+    data: Arc<Frame>,
 }
 
 impl Page {
@@ -266,6 +269,32 @@ pub struct AddressSpace {
 
 fn page_of(addr: Addr) -> u32 {
     addr / PAGE_SIZE
+}
+
+/// Offset of `addr` within its page.
+fn page_off(addr: Addr) -> usize {
+    (addr % PAGE_SIZE) as usize
+}
+
+/// Bytes from `addr` to the end of its page (1..=[`PAGE_SIZE`]).
+fn page_room(addr: Addr) -> u32 {
+    PAGE_SIZE - addr % PAGE_SIZE
+}
+
+fn segv(addr: Addr, access: AccessKind) -> SimFault {
+    SimFault::Segv { addr, access }
+}
+
+/// Where a bulk kernel stopped on a fault: every byte before `index`
+/// was processed (and stays written), the byte at `index` faulted.
+/// The index is what a fuel-metered caller charges for — the byte loop
+/// it replaces would have ticked `index + 1` times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BulkFault {
+    /// Position (from the start of the operation) of the faulting byte.
+    pub index: u32,
+    /// The fault that byte raised.
+    pub fault: SimFault,
 }
 
 impl AddressSpace {
@@ -539,15 +568,10 @@ impl AddressSpace {
         let n = self
             .accessible_run(src, len, true, false)
             .min(self.accessible_run(dst, len, false, true));
-        for i in 0..n {
-            let Ok(b) = self.read_u8(src + i) else {
-                return i;
-            };
-            if self.write_u8(dst + i, b).is_err() {
-                return i;
-            }
+        match self.copy(dst, src, n) {
+            Ok(()) => n,
+            Err(stop) => stop.index,
         }
-        n
     }
 
     /// Number of mapped pages (diagnostics).
@@ -609,16 +633,37 @@ impl AddressSpace {
         }
     }
 
-    fn check(&self, addr: Addr, access: AccessKind) -> Result<(), SimFault> {
-        let ok = match access {
-            AccessKind::Read => self.probe_read(addr),
-            AccessKind::Write => self.probe_write(addr),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(SimFault::Segv { addr, access })
+    /// The frame holding `addr`, if its page permits reads — the one
+    /// page-table lookup behind every read.
+    fn frame(&self, addr: Addr) -> Result<&Frame, SimFault> {
+        match self.pages.get(&page_of(addr)) {
+            Some(page) if page.prot.allows_read() => Ok(&page.data),
+            _ => Err(segv(addr, AccessKind::Read)),
         }
+    }
+
+    /// The frame holding `addr`, unshared for a write if its page
+    /// permits writes. Protection is checked before anything is
+    /// unshared, so a faulting write never copies. A table still shared
+    /// with a snapshot is cloned once (counted in `table_clones`), a
+    /// shared frame once per page (`pages_copied`) — the counts the
+    /// byte-at-a-time store has always produced.
+    fn frame_mut(&mut self, addr: Addr) -> Result<&mut Frame, SimFault> {
+        let p = page_of(addr);
+        if Arc::strong_count(&self.pages) > 1 {
+            if !self.pages.get(&p).is_some_and(|pg| pg.prot.allows_write()) {
+                return Err(segv(addr, AccessKind::Write));
+            }
+            self.cow.table_clones += 1;
+        }
+        let page = match Arc::make_mut(&mut self.pages).get_mut(&p) {
+            Some(page) if page.prot.allows_write() => page,
+            _ => return Err(segv(addr, AccessKind::Write)),
+        };
+        if Arc::strong_count(&page.data) > 1 {
+            self.cow.pages_copied += 1;
+        }
+        Ok(Arc::make_mut(&mut page.data))
     }
 
     /// Read one byte.
@@ -627,9 +672,7 @@ impl AddressSpace {
     ///
     /// Faults with [`SimFault::Segv`] if the byte is not readable.
     pub fn read_u8(&self, addr: Addr) -> Result<u8, SimFault> {
-        self.check(addr, AccessKind::Read)?;
-        let page = &self.pages[&page_of(addr)];
-        Ok(page.data[(addr % PAGE_SIZE) as usize])
+        Ok(self.frame(addr)?[page_off(addr)])
     }
 
     /// Write one byte. Writing a frame shared with a snapshot (or the
@@ -639,22 +682,41 @@ impl AddressSpace {
     ///
     /// Faults with [`SimFault::Segv`] if the byte is not writable.
     pub fn write_u8(&mut self, addr: Addr, value: u8) -> Result<(), SimFault> {
-        self.check(addr, AccessKind::Write)?;
-        let table_shared = Arc::strong_count(&self.pages) > 1;
-        let frame_copied = {
-            let pages = Arc::make_mut(&mut self.pages);
-            let page = pages.get_mut(&page_of(addr)).unwrap();
-            let shared = Arc::strong_count(&page.data) > 1;
-            Arc::make_mut(&mut page.data)[(addr % PAGE_SIZE) as usize] = value;
-            shared
-        };
-        if table_shared {
-            self.cow.table_clones += 1;
-        }
-        if frame_copied {
-            self.cow.pages_copied += 1;
+        self.frame_mut(addr)?[page_off(addr)] = value;
+        Ok(())
+    }
+
+    /// Hand `[addr, addr+len)` to `sink` one page chunk at a time, in
+    /// address order. A range running past the top of the address
+    /// space faults at `u32::MAX` once the top byte has been read.
+    fn read_chunks(
+        &self,
+        addr: Addr,
+        len: u32,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), SimFault> {
+        let mut done = 0u32;
+        while done < len {
+            let a = addr
+                .checked_add(done)
+                .ok_or(segv(u32::MAX, AccessKind::Read))?;
+            let n = page_room(a).min(len - done);
+            let off = page_off(a);
+            sink(&self.frame(a)?[off..off + n as usize]);
+            done += n;
         }
         Ok(())
+    }
+
+    /// Read `N` bytes into a stack array.
+    fn read_array<const N: usize>(&self, addr: Addr) -> Result<[u8; N], SimFault> {
+        let mut out = [0u8; N];
+        let mut at = 0;
+        self.read_chunks(addr, N as u32, |chunk| {
+            out[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+        })?;
+        Ok(out)
     }
 
     /// Read `len` bytes starting at `addr`.
@@ -665,13 +727,7 @@ impl AddressSpace {
     /// partial progress is discarded, as with a real fault.
     pub fn read_bytes(&self, addr: Addr, len: u32) -> Result<Vec<u8>, SimFault> {
         let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let a = addr.checked_add(i).ok_or(SimFault::Segv {
-                addr: u32::MAX,
-                access: AccessKind::Read,
-            })?;
-            out.push(self.read_u8(a)?);
-        }
+        self.read_chunks(addr, len, |chunk| out.extend_from_slice(chunk))?;
         Ok(out)
     }
 
@@ -683,12 +739,15 @@ impl AddressSpace {
     /// written — exactly the partial-write behavior a real buffer overflow
     /// exhibits before the signal arrives.
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimFault> {
-        for (i, b) in bytes.iter().enumerate() {
-            let a = addr.checked_add(i as u32).ok_or(SimFault::Segv {
-                addr: u32::MAX,
-                access: AccessKind::Write,
-            })?;
-            self.write_u8(a, *b)?;
+        let mut done = 0usize;
+        while done < bytes.len() {
+            let a = addr
+                .checked_add(done as u32)
+                .ok_or(segv(u32::MAX, AccessKind::Write))?;
+            let n = (page_room(a) as usize).min(bytes.len() - done);
+            let off = page_off(a);
+            self.frame_mut(a)?[off..off + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
         }
         Ok(())
     }
@@ -699,8 +758,7 @@ impl AddressSpace {
     ///
     /// Faults if any of the four bytes is unreadable.
     pub fn read_u32(&self, addr: Addr) -> Result<u32, SimFault> {
-        let b = self.read_bytes(addr, 4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.read_array(addr)?))
     }
 
     /// Write a little-endian `u32`.
@@ -736,8 +794,7 @@ impl AddressSpace {
     ///
     /// Faults if either byte is unreadable.
     pub fn read_u16(&self, addr: Addr) -> Result<u16, SimFault> {
-        let b = self.read_bytes(addr, 2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.read_array(addr)?))
     }
 
     /// Write a little-endian `u16`.
@@ -755,8 +812,7 @@ impl AddressSpace {
     ///
     /// Faults if any of the eight bytes is unreadable.
     pub fn read_f64(&self, addr: Addr) -> Result<f64, SimFault> {
-        let b = self.read_bytes(addr, 8)?;
-        Ok(f64::from_le_bytes(b.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.read_array(addr)?))
     }
 
     /// Write a little-endian `f64`.
@@ -766,6 +822,193 @@ impl AddressSpace {
     /// Faults if any of the eight bytes is unwritable.
     pub fn write_f64(&mut self, addr: Addr, value: f64) -> Result<(), SimFault> {
         self.write_bytes(addr, &value.to_le_bytes())
+    }
+
+    // Bulk kernels. Each does what a C byte loop `for (i = 0; i < len;
+    // i++) … p[i] …` does on the simulated machine — addresses wrap
+    // like `p.wrapping_add(i)`, so a run off the top of memory lands on
+    // the never-mapped null page and faults at 0 — but touches the page
+    // table once per page chunk instead of once per byte. Access rights
+    // are per page, so within a chunk every byte succeeds or the
+    // chunk's first byte (in loop order) faults: the fault reported is
+    // the byte loop's, at the same index, with the same bytes written
+    // before it and the same copy-on-write counts.
+
+    /// `memset`: store `value` into `[dst, dst+len)`.
+    ///
+    /// # Errors
+    ///
+    /// The first unwritable byte; the bytes before it are written.
+    pub fn fill(&mut self, dst: Addr, value: u8, len: u32) -> Result<(), BulkFault> {
+        let mut done = 0u32;
+        while done < len {
+            let a = dst.wrapping_add(done);
+            let n = page_room(a).min(len - done);
+            let frame = self
+                .frame_mut(a)
+                .map_err(|fault| BulkFault { index: done, fault })?;
+            let off = page_off(a);
+            frame[off..off + n as usize].fill(value);
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// `memcpy`'s forward byte loop: byte `i` is read from `src+i`,
+    /// then written to `dst+i`. Overlap behaves as that loop does — a
+    /// `dst` inside `(src, src+len)` re-reads bytes the copy already
+    /// wrote and smears the head of `src` forward.
+    ///
+    /// # Errors
+    ///
+    /// The first byte whose read or write faults (the read first);
+    /// the bytes before it are copied.
+    pub fn copy(&mut self, dst: Addr, src: Addr, len: u32) -> Result<(), BulkFault> {
+        self.copy_forward(dst, src, len, false).map(|_| ())
+    }
+
+    /// `strncpy`'s copying phase: [`copy`](AddressSpace::copy) that
+    /// also stops after copying a NUL. Returns the NUL's index, or
+    /// `None` when `len` bytes were copied without one.
+    ///
+    /// # Errors
+    ///
+    /// As [`copy`](AddressSpace::copy).
+    pub fn copy_until_nul(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        len: u32,
+    ) -> Result<Option<u32>, BulkFault> {
+        self.copy_forward(dst, src, len, true)
+    }
+
+    fn copy_forward(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        len: u32,
+        stop_at_nul: bool,
+    ) -> Result<Option<u32>, BulkFault> {
+        // A chunk no longer than `dst - src` never reads a byte it
+        // writes itself, and later chunks read what earlier ones wrote
+        // — the byte loop's order, preserved under overlap.
+        let gap = dst.wrapping_sub(src);
+        let step = if gap > 0 && gap < len { gap } else { len };
+        let mut buf = [0u8; PAGE_SIZE as usize];
+        let mut done = 0u32;
+        while done < len {
+            let (s, d) = (src.wrapping_add(done), dst.wrapping_add(done));
+            let mut n = page_room(s).min(page_room(d)).min(step).min(len - done);
+            let fail = |fault| BulkFault { index: done, fault };
+            let off = page_off(s);
+            let chunk = &mut buf[..n as usize];
+            chunk.copy_from_slice(&self.frame(s).map_err(fail)?[off..off + n as usize]);
+            let nul = if stop_at_nul {
+                find_nul_in(chunk)
+            } else {
+                None
+            };
+            if let Some(i) = nul {
+                n = i as u32 + 1;
+            }
+            let off = page_off(d);
+            self.frame_mut(d).map_err(fail)?[off..off + n as usize]
+                .copy_from_slice(&buf[..n as usize]);
+            if nul.is_some() {
+                return Ok(Some(done + n - 1));
+            }
+            done += n;
+        }
+        Ok(None)
+    }
+
+    /// The descending byte loop `memmove` runs when `dst` lies above an
+    /// overlapping `src`: byte `len-1` first, down to byte 0. Every
+    /// write lands above the bytes still to be read, so whole chunks
+    /// copy as the loop does.
+    fn copy_backward(&mut self, dst: Addr, src: Addr, len: u32) -> Result<(), SimFault> {
+        let mut buf = [0u8; PAGE_SIZE as usize];
+        let mut left = len;
+        while left > 0 {
+            // Bytes [left - n, left), the top one met first.
+            let (s_top, d_top) = (src.wrapping_add(left - 1), dst.wrapping_add(left - 1));
+            let n = (s_top % PAGE_SIZE + 1).min(d_top % PAGE_SIZE + 1).min(left) as usize;
+            let off = page_off(s_top) + 1 - n;
+            buf[..n].copy_from_slice(&self.frame(s_top)?[off..off + n]);
+            let off = page_off(d_top) + 1 - n;
+            self.frame_mut(d_top)?[off..off + n].copy_from_slice(&buf[..n]);
+            left -= n as u32;
+        }
+        Ok(())
+    }
+
+    /// `memmove`: copy forward unless `dst` lies inside `(src,
+    /// src+len)`, then backward — the direction rule (and its
+    /// non-wrapping comparison) of the byte loops it replaces.
+    ///
+    /// # Errors
+    ///
+    /// The first faulting byte in copy order; bytes copied before it
+    /// stay copied.
+    pub fn move_bytes(&mut self, dst: Addr, src: Addr, len: u32) -> Result<(), SimFault> {
+        if dst <= src || src.wrapping_add(len) <= dst {
+            self.copy(dst, src, len).map_err(|stop| stop.fault)
+        } else {
+            self.copy_backward(dst, src, len)
+        }
+    }
+
+    /// `memcmp`'s byte loop: the first index where `a` and `b` differ,
+    /// with the two bytes found there (`a`'s first), or `None` when the
+    /// ranges are equal.
+    ///
+    /// # Errors
+    ///
+    /// The first unreadable byte before any difference (`a`'s byte
+    /// before `b`'s at the same index).
+    pub fn compare(&self, a: Addr, b: Addr, len: u32) -> Result<Option<(u32, u8, u8)>, BulkFault> {
+        let mut done = 0u32;
+        while done < len {
+            let (x, y) = (a.wrapping_add(done), b.wrapping_add(done));
+            let n = page_room(x).min(page_room(y)).min(len - done) as usize;
+            let fail = |fault| BulkFault { index: done, fault };
+            let xs = &self.frame(x).map_err(fail)?[page_off(x)..][..n];
+            let ys = &self.frame(y).map_err(fail)?[page_off(y)..][..n];
+            if let Some(i) = xs.iter().zip(ys).position(|(p, q)| p != q) {
+                return Ok(Some((done + i as u32, xs[i], ys[i])));
+            }
+            done += n as u32;
+        }
+        Ok(None)
+    }
+
+    /// A read loop over `[addr, addr+len)` that stops at the first byte
+    /// for which `stop` holds, returning its index (`None` when no byte
+    /// in the range matches) — `memchr`, `strlen`, `strchr`.
+    ///
+    /// # Errors
+    ///
+    /// The first unreadable byte before a match.
+    pub fn scan(
+        &self,
+        addr: Addr,
+        len: u32,
+        stop: impl Fn(u8) -> bool,
+    ) -> Result<Option<u32>, BulkFault> {
+        let mut done = 0u32;
+        while done < len {
+            let a = addr.wrapping_add(done);
+            let n = page_room(a).min(len - done) as usize;
+            let frame = self
+                .frame(a)
+                .map_err(|fault| BulkFault { index: done, fault })?;
+            if let Some(i) = frame[page_off(a)..][..n].iter().position(|&b| stop(b)) {
+                return Ok(Some(done + i as u32));
+            }
+            done += n as u32;
+        }
+        Ok(None)
     }
 }
 

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use crate::heap::{Heap, HeapError, HeapMode};
-use crate::mem::{AddressSpace, Protection, SimFault, PAGE_SIZE};
+use crate::mem::{AddressSpace, BulkFault, Protection, SimFault, PAGE_SIZE};
 use crate::thread::{SimThread, ThreadId, ThreadState, ThreadTable};
 use crate::Addr;
 
@@ -278,6 +278,132 @@ impl SimProcess {
         self.fuel_budget - self.fuel_left
     }
 
+    /// Run a bulk kernel from [`AddressSpace`] under the fuel rule of
+    /// the byte loop it replaces: one unit per byte, charged before the
+    /// byte is touched. The kernel gets the number of bytes the fuel
+    /// covers (at most `len`) and reports where it stopped; the fuel
+    /// used, and whether a fault or [`SimFault::FuelExhausted`] ends
+    /// the call, come out as `tick(1)` per byte would leave them.
+    fn metered(
+        &mut self,
+        len: u64,
+        kernel: impl FnOnce(&mut AddressSpace, u32) -> Result<Option<u32>, BulkFault>,
+    ) -> Result<Option<u32>, SimFault> {
+        // An unbounded scan passes `u64::MAX`. Clamping it to the
+        // 32-bit range loses nothing a real layout reaches: 2^32 - 1
+        // consecutive bytes cross the never-mapped null page unless
+        // they start at address 1 and every other page is mapped.
+        let budget = len.min(self.fuel_left).min(u64::from(u32::MAX)) as u32;
+        match kernel(&mut self.mem, budget) {
+            Ok(Some(i)) => {
+                self.fuel_left -= u64::from(i) + 1;
+                Ok(Some(i))
+            }
+            Err(stop) => {
+                self.fuel_left -= u64::from(stop.index) + 1;
+                Err(stop.fault)
+            }
+            Ok(None) if u64::from(budget) == len => {
+                self.fuel_left -= len;
+                Ok(None)
+            }
+            Ok(None) => {
+                self.fuel_left = 0;
+                Err(SimFault::FuelExhausted)
+            }
+        }
+    }
+
+    /// Fuel-metered [`AddressSpace::fill`] (`memset`).
+    ///
+    /// # Errors
+    ///
+    /// The first unwritable byte, or fuel exhaustion.
+    pub fn fill(&mut self, dst: Addr, value: u8, len: u32) -> Result<(), SimFault> {
+        self.metered(u64::from(len), |m, k| m.fill(dst, value, k).map(|()| None))
+            .map(|_| ())
+    }
+
+    /// Fuel-metered [`AddressSpace::copy`] (`memcpy`).
+    ///
+    /// # Errors
+    ///
+    /// The first faulting byte, or fuel exhaustion.
+    pub fn copy(&mut self, dst: Addr, src: Addr, len: u32) -> Result<(), SimFault> {
+        self.metered(u64::from(len), |m, k| m.copy(dst, src, k).map(|()| None))
+            .map(|_| ())
+    }
+
+    /// Fuel-metered [`AddressSpace::copy_until_nul`]: copy at most
+    /// `len` bytes, stopping after a NUL. The NUL's index, if copied.
+    ///
+    /// # Errors
+    ///
+    /// The first faulting byte, or fuel exhaustion.
+    pub fn copy_until_nul(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        len: u32,
+    ) -> Result<Option<u32>, SimFault> {
+        self.metered(u64::from(len), |m, k| m.copy_until_nul(dst, src, k))
+    }
+
+    /// `strcpy`: copy the string at `src` and its NUL to `dst`,
+    /// returning the string's length. Only a fault or the fuel budget
+    /// ends an unterminated copy.
+    ///
+    /// # Errors
+    ///
+    /// The first faulting byte, or fuel exhaustion.
+    pub fn copy_cstr(&mut self, dst: Addr, src: Addr) -> Result<u32, SimFault> {
+        self.metered(u64::MAX, |m, k| m.copy_until_nul(dst, src, k))?
+            .ok_or(SimFault::FuelExhausted)
+    }
+
+    /// Fuel-metered [`AddressSpace::compare`] (`memcmp`).
+    ///
+    /// # Errors
+    ///
+    /// The first unreadable byte before a difference, or fuel
+    /// exhaustion.
+    pub fn compare(&mut self, a: Addr, b: Addr, len: u32) -> Result<Option<(u8, u8)>, SimFault> {
+        let mut diff = None;
+        self.metered(u64::from(len), |m, k| {
+            let found = m.compare(a, b, k)?;
+            diff = found.map(|(_, x, y)| (x, y));
+            Ok(found.map(|(i, ..)| i))
+        })?;
+        Ok(diff)
+    }
+
+    /// Fuel-metered [`AddressSpace::scan`] over at most `len` bytes
+    /// (`memchr`, `strnlen`).
+    ///
+    /// # Errors
+    ///
+    /// The first unreadable byte before a match, or fuel exhaustion.
+    pub fn scan(
+        &mut self,
+        addr: Addr,
+        len: u32,
+        stop: impl Fn(u8) -> bool,
+    ) -> Result<Option<u32>, SimFault> {
+        self.metered(u64::from(len), |m, k| m.scan(addr, k, stop))
+    }
+
+    /// [`SimProcess::scan`] with no length bound (`strlen`,
+    /// `strchr`): the index of the first byte matching `stop`. Only a
+    /// fault or the fuel budget ends a scan that finds none.
+    ///
+    /// # Errors
+    ///
+    /// The first unreadable byte before a match, or fuel exhaustion.
+    pub fn scan_until(&mut self, addr: Addr, stop: impl Fn(u8) -> bool) -> Result<u32, SimFault> {
+        self.metered(u64::MAX, |m, k| m.scan(addr, k, stop))?
+            .ok_or(SimFault::FuelExhausted)
+    }
+
     /// Read a NUL-terminated C string, consuming fuel per byte.
     ///
     /// # Errors
@@ -285,17 +411,10 @@ impl SimProcess {
     /// Faults if any byte before the terminator is unreadable, or with
     /// [`SimFault::FuelExhausted`] on unterminated gigantic regions.
     pub fn read_cstr(&mut self, addr: Addr) -> Result<Vec<u8>, SimFault> {
-        let mut out = Vec::new();
-        let mut a = addr;
-        loop {
-            self.tick(1)?;
-            let b = self.mem.read_u8(a)?;
-            if b == 0 {
-                return Ok(out);
-            }
-            out.push(b);
-            a = a.wrapping_add(1);
-        }
+        let len = self.scan_until(addr, |b| b == 0)?;
+        // The scan read every byte up to the NUL, and a string that
+        // reached the NUL never wrapped (that would pass address 0).
+        self.mem.read_bytes(addr, len)
     }
 
     /// Write a NUL-terminated C string.
