@@ -5,8 +5,9 @@
 //! the CoW engine each test paid a full deep copy of the world. This
 //! harness times the same Figure 6 evaluation under both mechanisms and
 //! reports the speedup plus the CoW page counters (how many pages were
-//! reference-shared rather than copied, and how many private copies
-//! actually faulted in — the pages a rollback then discards).
+//! reference-shared rather than copied, how many private copies
+//! actually faulted in — the pages a rollback then discards — and how
+//! many page-table entries diverging children copied).
 //!
 //! Flags:
 //!
@@ -15,8 +16,8 @@
 //! * `--json PATH` — emit the measurements as `BENCH_snapshot.json`;
 //! * `--baseline PATH` — compare against a committed
 //!   `BENCH_snapshot.json` and exit non-zero if the CoW evaluation
-//!   slowed down by more than 20 % relative, or if the CoW-vs-deep
-//!   speedup fell below 2×.
+//!   copied more than 20 % more pages or page-table entries, or if the
+//!   CoW-vs-deep speedup fell below 2×.
 
 use std::time::{Duration, Instant};
 
@@ -88,7 +89,7 @@ fn json_for(m: &Measurement) -> String {
     format!(
         "{{\n  \"snapshot\": {{\"cow_ms\": {:.3}, \"deep_clone_ms\": {:.3}, \
          \"speedup\": {:.2}, \"snapshots\": {}, \"pages_shared\": {}, \
-         \"pages_copied\": {}, \"pages_restored\": {}}}\n}}\n",
+         \"pages_copied\": {}, \"pages_restored\": {}, \"table_entries_copied\": {}}}\n}}\n",
         m.cow.as_secs_f64() * 1e3,
         m.deep.as_secs_f64() * 1e3,
         speedup,
@@ -98,6 +99,7 @@ fn json_for(m: &Measurement) -> String {
         // Run-and-discard containment: rollback frees exactly the
         // private copies the child faulted in.
         m.counters.pages_copied,
+        m.counters.table_entries_copied,
     )
 }
 
@@ -158,6 +160,10 @@ fn main() {
     println!("  pages shared          {:>10}", m.counters.pages_shared);
     println!("  pages copied          {:>10}", m.counters.pages_copied);
     println!("  pages restored        {:>10}", m.counters.pages_copied);
+    println!(
+        "  table entries copied  {:>10}",
+        m.counters.table_entries_copied
+    );
 
     if let Some(path) = json_path {
         std::fs::write(&path, json_for(&m)).expect("write json");
@@ -166,27 +172,40 @@ fn main() {
 
     if let Some(path) = baseline_path {
         let doc = std::fs::read_to_string(&path).expect("read baseline");
-        // The regression gate reads the *deterministic* counter, not a
-        // wall clock: the engine's cost is the private pages it copies,
-        // and that count is a pure function of the seed. A >20 % rise
-        // means someone broke page sharing (every extra copy is also an
-        // extra page for rollback to discard). Wall clock only backs
-        // the coarse floor below — the ratio is noisy at smoke scale.
-        let base_copied = baseline_field(&doc, "pages_copied").expect("baseline pages_copied");
-        let copied = m.counters.pages_copied as f64;
-        let rel = (copied - base_copied) / base_copied;
-        eprintln!(
-            "baseline pages_copied {base_copied:.0}, current {copied:.0} ({:+.1} %)",
-            rel * 100.0
-        );
-        if rel > 0.20 {
-            eprintln!("FAIL: CoW page copies regressed more than 20 % vs baseline");
-            std::process::exit(1);
+        // The regression gates read *deterministic* counters, not a
+        // wall clock: the engine's cost is the private pages and the
+        // page-table entries it copies, and both counts are a pure
+        // function of the seed. A >20 % rise in pages means someone
+        // broke page sharing (every extra copy is also an extra page
+        // for rollback to discard); in table entries, that a diverging
+        // child copies more of the table than the chunks it touches.
+        // Wall clock only backs the coarse floor below — the ratio is
+        // noisy at smoke scale.
+        let mut failed = false;
+        for (key, current) in [
+            ("pages_copied", m.counters.pages_copied),
+            ("table_entries_copied", m.counters.table_entries_copied),
+        ] {
+            let base =
+                baseline_field(&doc, key).unwrap_or_else(|| panic!("baseline has no {key} field"));
+            let current = current as f64;
+            let rel = (current - base) / base;
+            eprintln!(
+                "baseline {key} {base:.0}, current {current:.0} ({:+.1} %)",
+                rel * 100.0
+            );
+            if rel > 0.20 {
+                eprintln!("FAIL: CoW {key} regressed more than 20 % vs baseline");
+                failed = true;
+            }
         }
         if speedup < 2.0 {
             eprintln!("FAIL: CoW speedup fell below 2× vs deep clone");
+            failed = true;
+        }
+        if failed {
             std::process::exit(1);
         }
-        eprintln!("OK: page copies within 20 % of baseline, speedup ≥ 2×");
+        eprintln!("OK: page and table-entry copies within 20 % of baseline, speedup ≥ 2×");
     }
 }

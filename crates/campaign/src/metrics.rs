@@ -174,6 +174,7 @@ mod tests {
             pages_shared: 100,
             pages_copied: 7,
             table_clones: 3,
+            table_entries_copied: 11,
         });
         assert_eq!(m.snapshots, 2);
         assert_eq!(m.pages_shared, 100);

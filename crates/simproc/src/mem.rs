@@ -4,11 +4,14 @@
 //! bumps reference counts on a persistent page table), writes fault
 //! private page copies in on demand, and discarding a snapshot costs
 //! O(dirty pages) — the same economics as the `fork()` the paper's fault
-//! injectors rely on for cheap containment.
+//! injectors rely on for cheap containment. The page table is a
+//! two-level radix tree of `Arc`-shared 64-entry chunks under an
+//! `Arc`-shared root, so an image diverging from its snapshot copies the
+//! root's chunk pointers and the chunks it touches, not every entry.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::Addr;
 
@@ -40,6 +43,11 @@ impl Protection {
     /// Whether writes are permitted.
     pub fn allows_write(self) -> bool {
         matches!(self, Protection::ReadWrite | Protection::WriteOnly)
+    }
+
+    /// Whether every access asked for is permitted.
+    fn permits(self, read: bool, write: bool) -> bool {
+        (!read || self.allows_read()) && (!write || self.allows_write())
     }
 }
 
@@ -120,35 +128,222 @@ impl std::error::Error for SimFault {}
 /// The bytes of one page.
 type Frame = [u8; PAGE_SIZE as usize];
 
-/// The all-zero page frame shared by every fresh mapping, like the
+/// The all-zero page frame every fresh mapping reads, like the
 /// kernel's shared zero page: `map` never allocates or memsets a frame,
 /// and the first write to such a page faults in a private copy.
-fn zero_frame() -> Arc<Frame> {
-    static ZERO: OnceLock<Arc<Frame>> = OnceLock::new();
-    ZERO.get_or_init(|| Arc::new([0u8; PAGE_SIZE as usize]))
-        .clone()
-}
+static ZERO_FRAME: Frame = [0u8; PAGE_SIZE as usize];
 
 #[derive(Clone)]
 struct Page {
     // Protection lives beside the frame (not inside it) so `protect`
     // never copies page contents.
     prot: Protection,
-    data: Arc<Frame>,
+    /// `None` until the first write: the page reads [`ZERO_FRAME`].
+    /// Unlike an `Arc` of a shared zero frame, copying such an entry
+    /// touches no reference count that every image shares.
+    data: Option<Arc<Frame>>,
 }
 
 impl Page {
     fn new(prot: Protection) -> Self {
-        Page {
-            prot,
-            data: zero_frame(),
-        }
+        Page { prot, data: None }
+    }
+
+    fn bytes(&self) -> &Frame {
+        self.data.as_deref().unwrap_or(&ZERO_FRAME)
     }
 }
 
 impl fmt::Debug for Page {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Page {{ prot: {:?} }}", self.prot)
+    }
+}
+
+/// log2 of the pages per page-table chunk.
+const CHUNK_SHIFT: u32 = 6;
+/// Pages per page-table chunk: the unit of table copy-on-write.
+const CHUNK_PAGES: usize = 1 << CHUNK_SHIFT;
+/// The last page of the 32-bit address space.
+const TOP_PAGE: u32 = u32::MAX / PAGE_SIZE;
+
+fn chunk_of(page: u32) -> u32 {
+    page >> CHUNK_SHIFT
+}
+
+fn slot_of(page: u32) -> usize {
+    page as usize & (CHUNK_PAGES - 1)
+}
+
+/// The slots of chunk `c` that hold pages `first..=last`.
+fn slots_in(c: u32, first: u32, last: u32) -> std::ops::RangeInclusive<usize> {
+    let base = c << CHUNK_SHIFT;
+    (first.max(base) - base) as usize..=(last.min(base + (CHUNK_PAGES as u32 - 1)) - base) as usize
+}
+
+/// 64 consecutive page-table entries.
+#[derive(Clone)]
+struct Chunk {
+    slots: [Option<Page>; CHUNK_PAGES],
+    /// Occupied slots; a chunk that empties leaves the root.
+    mapped: u32,
+}
+
+impl Chunk {
+    fn empty() -> Arc<Chunk> {
+        Arc::new(Chunk {
+            slots: [const { None }; CHUNK_PAGES],
+            mapped: 0,
+        })
+    }
+}
+
+/// The chunk, unshared for mutation: a chunk still shared with another
+/// root is copied (64 `table_entries_copied`).
+fn chunk_mut<'a>(chunk: &'a mut Arc<Chunk>, cow: &mut CowStats) -> &'a mut Chunk {
+    if Arc::strong_count(chunk) > 1 {
+        cow.table_entries_copied += CHUNK_PAGES as u64;
+    }
+    Arc::make_mut(chunk)
+}
+
+/// A two-level copy-on-write radix table: an `Arc`-shared root maps
+/// chunk numbers (page number / 64) to `Arc`-shared chunks. Only
+/// chunks holding a mapped page exist. Cloning is O(1); a mutation
+/// copies the root if it is shared (`table_clones`, one
+/// `table_entries_copied` per chunk pointer) and then only the chunks
+/// it changes — O(chunks + 64 × touched chunks), never O(mapped pages).
+#[derive(Clone, Default)]
+struct PageTable {
+    root: Arc<BTreeMap<u32, Arc<Chunk>>>,
+    /// Mapped pages across all chunks.
+    mapped: usize,
+}
+
+impl PageTable {
+    fn get(&self, page: u32) -> Option<&Page> {
+        self.root.get(&chunk_of(page))?.slots[slot_of(page)].as_ref()
+    }
+
+    /// The mapped pages of `first..=last` (`first <= last`) in address
+    /// order, from either end.
+    fn range(&self, first: u32, last: u32) -> impl DoubleEndedIterator<Item = (u32, &Page)> {
+        self.root
+            .range(chunk_of(first)..=chunk_of(last))
+            .flat_map(move |(&c, chunk)| {
+                let slots = slots_in(c, first, last);
+                let base = (c << CHUNK_SHIFT) + *slots.start() as u32;
+                chunk.slots[slots]
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, slot)| Some((base + i as u32, slot.as_ref()?)))
+            })
+    }
+
+    /// The entries of the consecutive pages `first..=last`, `None`
+    /// where a page is unmapped: one root search per chunk entered,
+    /// then an array index per page.
+    fn walk(&self, first: u32, last: u32) -> impl Iterator<Item = (u32, Option<&Page>)> {
+        let mut entered: Option<(u32, Option<&Chunk>)> = None;
+        (first..=last).map(move |p| {
+            let chunk = match entered {
+                Some((c, chunk)) if c == chunk_of(p) => chunk,
+                _ => {
+                    let chunk = self.root.get(&chunk_of(p)).map(|c| &**c);
+                    entered = Some((chunk_of(p), chunk));
+                    chunk
+                }
+            };
+            (p, chunk.and_then(|c| c.slots[slot_of(p)].as_ref()))
+        })
+    }
+
+    /// The root, unshared for mutation.
+    fn root_mut(&mut self, cow: &mut CowStats) -> &mut BTreeMap<u32, Arc<Chunk>> {
+        if Arc::strong_count(&self.root) > 1 {
+            cow.table_clones += 1;
+            cow.table_entries_copied += self.root.len() as u64;
+        }
+        Arc::make_mut(&mut self.root)
+    }
+
+    /// Map pages `first..=last` afresh (zero frame, protection `prot`).
+    fn map(&mut self, first: u32, last: u32, prot: Protection, cow: &mut CowStats) {
+        let mut added = 0;
+        let root = self.root_mut(cow);
+        for c in chunk_of(first)..=chunk_of(last) {
+            let chunk = chunk_mut(root.entry(c).or_insert_with(Chunk::empty), cow);
+            for slot in &mut chunk.slots[slots_in(c, first, last)] {
+                if slot.replace(Page::new(prot)).is_none() {
+                    chunk.mapped += 1;
+                    added += 1;
+                }
+            }
+        }
+        self.mapped += added;
+    }
+
+    /// Unmap pages `first..=last`. A chunk left empty is dropped from
+    /// the root without being copied.
+    fn unmap(&mut self, first: u32, last: u32, cow: &mut CowStats) {
+        let mut removed = 0;
+        let mut emptied = Vec::new();
+        let root = self.root_mut(cow);
+        for (&c, chunk) in root.range_mut(chunk_of(first)..=chunk_of(last)) {
+            let slots = slots_in(c, first, last);
+            let n = chunk.slots[slots.clone()].iter().flatten().count() as u32;
+            if n == 0 {
+                continue;
+            }
+            removed += n as usize;
+            if n == chunk.mapped {
+                emptied.push(c);
+                continue;
+            }
+            let chunk = chunk_mut(chunk, cow);
+            chunk.slots[slots].fill(None);
+            chunk.mapped -= n;
+        }
+        for c in emptied {
+            root.remove(&c);
+        }
+        self.mapped -= removed;
+    }
+
+    /// Set the protection of the mapped pages of `first..=last`,
+    /// copying only chunks in which a protection actually changes.
+    fn protect(&mut self, first: u32, last: u32, prot: Protection, cow: &mut CowStats) {
+        let root = self.root_mut(cow);
+        for (&c, chunk) in root.range_mut(chunk_of(first)..=chunk_of(last)) {
+            let slots = slots_in(c, first, last);
+            if chunk.slots[slots.clone()]
+                .iter()
+                .flatten()
+                .all(|pg| pg.prot == prot)
+            {
+                continue;
+            }
+            for page in chunk_mut(chunk, cow).slots[slots].iter_mut().flatten() {
+                page.prot = prot;
+            }
+        }
+    }
+
+    /// The entry of `page` unshared for a store, if its protection
+    /// permits writes. Protection is checked through the shared
+    /// structure first, so a faulting store copies nothing.
+    fn writable(&mut self, page: u32, cow: &mut CowStats) -> Option<&mut Page> {
+        if !self.get(page).is_some_and(|pg| pg.prot.allows_write()) {
+            return None;
+        }
+        let chunk = self.root_mut(cow).get_mut(&chunk_of(page))?;
+        chunk_mut(chunk, cow).slots[slot_of(page)].as_mut()
+    }
+}
+
+impl fmt::Debug for PageTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.range(0, TOP_PAGE)).finish()
     }
 }
 
@@ -168,9 +363,13 @@ pub struct CowStats {
     /// Private page frames faulted in by writes to shared frames —
     /// including first writes to the shared zero frame.
     pub pages_copied: u64,
-    /// Page-table structure unsharings (one per diverging mapping
-    /// operation after a snapshot; entries are pointer-sized).
+    /// Page-table root unsharings (one per diverging mapping operation
+    /// or store after a snapshot).
     pub table_clones: u64,
+    /// Page-table entries copied while unsharing table structure: one
+    /// per chunk pointer of each unshared root, plus 64 slots per
+    /// unshared chunk.
+    pub table_entries_copied: u64,
 }
 
 impl CowStats {
@@ -182,6 +381,9 @@ impl CowStats {
             pages_shared: self.pages_shared.saturating_sub(base.pages_shared),
             pages_copied: self.pages_copied.saturating_sub(base.pages_copied),
             table_clones: self.table_clones.saturating_sub(base.table_clones),
+            table_entries_copied: self
+                .table_entries_copied
+                .saturating_sub(base.table_entries_copied),
         }
     }
 
@@ -192,11 +394,13 @@ impl CowStats {
             pages_shared,
             pages_copied,
             table_clones,
+            table_entries_copied,
         } = other;
         self.snapshots += snapshots;
         self.pages_shared += pages_shared;
         self.pages_copied += pages_copied;
         self.table_clones += table_clones;
+        self.table_entries_copied += table_entries_copied;
     }
 }
 
@@ -257,18 +461,27 @@ impl fmt::Display for PageRun {
 /// a real Unix machine.
 ///
 /// `Clone` is O(1): the page table and every frame are `Arc`-shared, and
-/// mutation unshares lazily ([`Arc::make_mut`]) — the table structure on
-/// the first mapping change, each 4 KiB frame on the first write to it.
+/// mutation unshares lazily ([`Arc::make_mut`]) — the table's root and
+/// the 64-entry chunks a mapping change or store touches, and each 4 KiB
+/// frame on the first write to it.
 /// Use [`AddressSpace::snapshot`] rather than `clone()` when the copy
 /// models fault containment, so the [`CowStats`] telemetry records it.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    pages: Arc<BTreeMap<u32, Page>>,
+    pages: PageTable,
     cow: CowStats,
 }
 
 fn page_of(addr: Addr) -> u32 {
     addr / PAGE_SIZE
+}
+
+/// The first and last pages overlapping `[addr, addr+len)`, `len > 0`.
+/// A range running past the top of the address space stops at the top
+/// page, as [`AddressSpace::find_nul`]'s budget does: the wrapped part
+/// would start on the never-mapped null page.
+fn page_span(addr: Addr, len: u32) -> (u32, u32) {
+    (page_of(addr), page_of(addr.saturating_add(len - 1)))
 }
 
 /// Offset of `addr` within its page.
@@ -311,7 +524,7 @@ impl AddressSpace {
     pub fn snapshot(&self) -> AddressSpace {
         let mut child = self.clone();
         child.cow.snapshots += 1;
-        child.cow.pages_shared += self.pages.len() as u64;
+        child.cow.pages_shared += self.pages.mapped as u64;
         child
     }
 
@@ -319,21 +532,23 @@ impl AddressSpace {
     /// containment behaviour, kept as the reference implementation for
     /// differential tests and benchmarks.
     pub fn deep_clone(&self) -> AddressSpace {
-        let pages: BTreeMap<u32, Page> = self
+        let root = self
             .pages
+            .root
             .iter()
-            .map(|(&n, page)| {
-                (
-                    n,
-                    Page {
-                        prot: page.prot,
-                        data: Arc::new(*page.data),
-                    },
-                )
+            .map(|(&c, chunk)| {
+                let mut copy = Chunk::clone(chunk);
+                for page in copy.slots.iter_mut().flatten() {
+                    page.data = Some(Arc::new(*page.bytes()));
+                }
+                (c, Arc::new(copy))
             })
             .collect();
         AddressSpace {
-            pages: Arc::new(pages),
+            pages: PageTable {
+                root: Arc::new(root),
+                mapped: self.pages.mapped,
+            },
             cow: self.cow,
         }
     }
@@ -341,15 +556,6 @@ impl AddressSpace {
     /// The copy-on-write activity counters accumulated so far.
     pub fn cow_stats(&self) -> CowStats {
         self.cow
-    }
-
-    /// The page table, unshared for mutation (counted as a table clone
-    /// when a structure copy actually happens).
-    fn pages_mut(&mut self) -> &mut BTreeMap<u32, Page> {
-        if Arc::strong_count(&self.pages) > 1 {
-            self.cow.table_clones += 1;
-        }
-        Arc::make_mut(&mut self.pages)
     }
 
     /// Map `len` bytes starting at `addr` (rounded out to page boundaries)
@@ -368,45 +574,34 @@ impl AddressSpace {
                 .expect("mapping wraps address space"),
         );
         assert!(first > 0, "cannot map the null page");
-        let pages = self.pages_mut();
-        for p in first..=last {
-            pages.insert(p, Page::new(prot));
-        }
+        self.pages.map(first, last, prot, &mut self.cow);
     }
 
-    /// Unmap all pages overlapping `[addr, addr+len)`.
+    /// Unmap all pages overlapping `[addr, addr+len)`, saturating at the
+    /// top of the address space.
     pub fn unmap(&mut self, addr: Addr, len: u32) {
         if len == 0 {
             return;
         }
-        let first = page_of(addr);
-        let last = page_of(addr + (len - 1));
-        let pages = self.pages_mut();
-        for p in first..=last {
-            pages.remove(&p);
-        }
+        let (first, last) = page_span(addr, len);
+        self.pages.unmap(first, last, &mut self.cow);
     }
 
-    /// Change the protection of all pages overlapping `[addr, addr+len)`.
-    /// Pages that are not mapped are ignored. Protection lives in the
-    /// page-table entry, not the frame, so this never copies page data.
+    /// Change the protection of all pages overlapping `[addr, addr+len)`,
+    /// saturating at the top of the address space. Pages that are not
+    /// mapped are ignored. Protection lives in the page-table entry, not
+    /// the frame, so this never copies page data.
     pub fn protect(&mut self, addr: Addr, len: u32, prot: Protection) {
         if len == 0 {
             return;
         }
-        let first = page_of(addr);
-        let last = page_of(addr + (len - 1));
-        let pages = self.pages_mut();
-        for p in first..=last {
-            if let Some(page) = pages.get_mut(&p) {
-                page.prot = prot;
-            }
-        }
+        let (first, last) = page_span(addr, len);
+        self.pages.protect(first, last, prot, &mut self.cow);
     }
 
     /// Whether `addr` lies in a mapped page (regardless of protection).
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        self.pages.contains_key(&page_of(addr))
+        self.pages.get(page_of(addr)).is_some()
     }
 
     /// Non-faulting probe: whether one byte at `addr` is readable. This is
@@ -414,7 +609,7 @@ impl AddressSpace {
     /// (the paper tests one byte per page via a signal handler).
     pub fn probe_read(&self, addr: Addr) -> bool {
         self.pages
-            .get(&page_of(addr))
+            .get(page_of(addr))
             .map(|p| p.prot.allows_read())
             .unwrap_or(false)
     }
@@ -422,22 +617,22 @@ impl AddressSpace {
     /// Non-faulting probe: whether one byte at `addr` is writable.
     pub fn probe_write(&self, addr: Addr) -> bool {
         self.pages
-            .get(&page_of(addr))
+            .get(page_of(addr))
             .map(|p| p.prot.allows_write())
             .unwrap_or(false)
     }
 
     /// The protection of the page containing `addr`, if mapped.
     pub fn protection_at(&self, addr: Addr) -> Option<Protection> {
-        self.pages.get(&page_of(addr)).map(|p| p.prot)
+        self.pages.get(page_of(addr)).map(|p| p.prot)
     }
 
     /// Bulk range probe: whether every byte of `[addr, addr+len)`
     /// permits the required access. Equivalent to probing
     /// [`AddressSpace::probe_read`]/[`AddressSpace::probe_write`] on
-    /// each byte, but resolved with a *single* page-table range seek
-    /// followed by a sequential walk over the resident pages — one
-    /// lookup per contiguous run instead of one (or two) per page.
+    /// each byte, but resolved with one root search per 64-page chunk
+    /// of the range and an array index per page, instead of one (or
+    /// two) page-table lookups per byte.
     ///
     /// Zero-length contract (pinned): a probe for zero bytes — or for
     /// no access at all (`!need_read && !need_write`) — asserts
@@ -459,23 +654,9 @@ impl AddressSpace {
         let Some(end) = addr.checked_add(len - 1) else {
             return false;
         };
-        let first = page_of(addr);
-        let last = page_of(end);
-        let mut expect = first;
-        for (&p, page) in self.pages.range(first..=last) {
-            if p != expect {
-                return false; // hole in the mapping
-            }
-            if (need_read && !page.prot.allows_read()) || (need_write && !page.prot.allows_write())
-            {
-                return false;
-            }
-            if p == last {
-                return true;
-            }
-            expect = p + 1;
-        }
-        false // the mapping ends before `last`
+        self.pages
+            .walk(page_of(addr), page_of(end))
+            .all(|(_, page)| page.is_some_and(|pg| pg.prot.permits(need_read, need_write)))
     }
 
     /// Bulk NUL scan: the index of the first zero byte at
@@ -484,8 +665,9 @@ impl AddressSpace {
     /// `need_write`). Bytes past the terminator are never probed.
     ///
     /// Equivalent to the byte-at-a-time probe-then-read loop, but the
-    /// page table is walked once per contiguous accessible run and the
-    /// resident page bytes are scanned word-wise ([`find_nul_in`]).
+    /// page table is consulted once per page (one root search per
+    /// chunk) and the resident page bytes are scanned word-wise
+    /// ([`find_nul_in`]).
     /// Returns `None` when an inaccessible byte precedes the
     /// terminator or no terminator lies within the index budget — a
     /// scan running off the top of the address space fails like the
@@ -496,27 +678,19 @@ impl AddressSpace {
         // than failing) on overflow keeps byte-loop equivalence: the
         // loop scans up to 0xffff_ffff and then fails at the wrap.
         let budget_end = addr.saturating_add(max_index);
-        let first = page_of(addr);
-        let mut expect = first;
-        for (&p, page) in self.pages.range(first..=page_of(budget_end)) {
-            if p != expect {
-                return None;
-            }
-            if !page.prot.allows_read() || (need_write && !page.prot.allows_write()) {
-                return None;
-            }
+        for (p, page) in self.pages.walk(page_of(addr), page_of(budget_end)) {
+            let page = page.filter(|pg| pg.prot.permits(true, need_write))?;
             let page_base = p * PAGE_SIZE;
             let start = addr.max(page_base);
             let end = budget_end.min(page_base + (PAGE_SIZE - 1));
             let lo = (start - page_base) as usize;
             let hi = (end - page_base) as usize;
-            if let Some(i) = find_nul_in(&page.data[lo..=hi]) {
+            if let Some(i) = find_nul_in(&page.bytes()[lo..=hi]) {
                 return Some(start - addr + i as u32);
             }
             if end == budget_end {
                 return None; // budget exhausted without a terminator
             }
-            expect = p + 1;
         }
         None
     }
@@ -527,7 +701,7 @@ impl AddressSpace {
     /// half of [`probe_range`](AddressSpace::probe_range): instead of
     /// a yes/no on a known length, it finds the length a clamped
     /// substitute may safely use. Page-table walk only — one entry per
-    /// contiguous run, no byte scans.
+    /// page, no byte scans.
     pub fn accessible_run(&self, addr: Addr, max: u32, need_read: bool, need_write: bool) -> u32 {
         if max == 0 {
             return 0;
@@ -538,19 +712,12 @@ impl AddressSpace {
         // A budget past the top of the address space clamps: the wrap
         // would land on the never-mapped null page anyway.
         let end = addr.saturating_add(max - 1);
-        let first = page_of(addr);
-        let mut expect = first;
         let mut last_ok: Option<Addr> = None;
-        for (&p, page) in self.pages.range(first..=page_of(end)) {
-            if p != expect {
-                break; // hole in the mapping
-            }
-            if (need_read && !page.prot.allows_read()) || (need_write && !page.prot.allows_write())
-            {
+        for (p, page) in self.pages.walk(page_of(addr), page_of(end)) {
+            if !page.is_some_and(|pg| pg.prot.permits(need_read, need_write)) {
                 break;
             }
             last_ok = Some((p * PAGE_SIZE + (PAGE_SIZE - 1)).min(end));
-            expect = p + 1;
         }
         match last_ok {
             Some(e) => e - addr + 1,
@@ -576,7 +743,7 @@ impl AddressSpace {
 
     /// Number of mapped pages (diagnostics).
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.mapped
     }
 
     /// The maximal run of contiguous pages around `addr` sharing its
@@ -586,11 +753,16 @@ impl AddressSpace {
     /// faulting access landed in and how far that region extends.
     pub fn page_run(&self, addr: Addr) -> PageRun {
         let p = page_of(addr);
-        match self.pages.get(&p) {
+        // The mapped pages below and above `p`, nearest first.
+        let below = (p > 0).then(|| self.pages.range(0, p - 1).rev());
+        let above = (p < TOP_PAGE).then(|| self.pages.range(p + 1, TOP_PAGE));
+        let mut below = below.into_iter().flatten();
+        let mut above = above.into_iter().flatten();
+        match self.pages.get(p) {
             Some(page) => {
                 let prot = page.prot;
                 let mut first = p;
-                for (&q, pg) in self.pages.range(..p).rev() {
+                for (q, pg) in below {
                     if q + 1 == first && pg.prot == prot {
                         first = q;
                     } else {
@@ -598,7 +770,7 @@ impl AddressSpace {
                     }
                 }
                 let mut last = p;
-                for (&q, pg) in self.pages.range(p + 1..) {
+                for (q, pg) in above {
                     if q == last + 1 && pg.prot == prot {
                         last = q;
                     } else {
@@ -612,18 +784,8 @@ impl AddressSpace {
                 }
             }
             None => {
-                let first = self
-                    .pages
-                    .range(..p)
-                    .next_back()
-                    .map(|(&q, _)| q + 1)
-                    .unwrap_or(0);
-                let last = self
-                    .pages
-                    .range(p + 1..)
-                    .next()
-                    .map(|(&q, _)| q - 1)
-                    .unwrap_or(page_of(Addr::MAX));
+                let first = below.next().map(|(q, _)| q + 1).unwrap_or(0);
+                let last = above.next().map(|(q, _)| q - 1).unwrap_or(TOP_PAGE);
                 PageRun {
                     start: first * PAGE_SIZE,
                     pages: last - first + 1,
@@ -636,34 +798,29 @@ impl AddressSpace {
     /// The frame holding `addr`, if its page permits reads — the one
     /// page-table lookup behind every read.
     fn frame(&self, addr: Addr) -> Result<&Frame, SimFault> {
-        match self.pages.get(&page_of(addr)) {
-            Some(page) if page.prot.allows_read() => Ok(&page.data),
+        match self.pages.get(page_of(addr)) {
+            Some(page) if page.prot.allows_read() => Ok(page.bytes()),
             _ => Err(segv(addr, AccessKind::Read)),
         }
     }
 
     /// The frame holding `addr`, unshared for a write if its page
     /// permits writes. Protection is checked before anything is
-    /// unshared, so a faulting write never copies. A table still shared
-    /// with a snapshot is cloned once (counted in `table_clones`), a
-    /// shared frame once per page (`pages_copied`) — the counts the
-    /// byte-at-a-time store has always produced.
+    /// unshared, so a faulting write never copies. A table root still
+    /// shared with a snapshot is copied once (`table_clones`), then the
+    /// page's chunk if it is shared, and a shared frame once per page
+    /// (`pages_copied`) — the counts the byte-at-a-time store has
+    /// always produced.
     fn frame_mut(&mut self, addr: Addr) -> Result<&mut Frame, SimFault> {
-        let p = page_of(addr);
-        if Arc::strong_count(&self.pages) > 1 {
-            if !self.pages.get(&p).is_some_and(|pg| pg.prot.allows_write()) {
-                return Err(segv(addr, AccessKind::Write));
-            }
-            self.cow.table_clones += 1;
-        }
-        let page = match Arc::make_mut(&mut self.pages).get_mut(&p) {
-            Some(page) if page.prot.allows_write() => page,
-            _ => return Err(segv(addr, AccessKind::Write)),
+        let Some(page) = self.pages.writable(page_of(addr), &mut self.cow) else {
+            return Err(segv(addr, AccessKind::Write));
         };
-        if Arc::strong_count(&page.data) > 1 {
+        if page.data.as_ref().is_none_or(|d| Arc::strong_count(d) > 1) {
             self.cow.pages_copied += 1;
         }
-        Ok(Arc::make_mut(&mut page.data))
+        Ok(Arc::make_mut(
+            page.data.get_or_insert_with(|| Arc::new(ZERO_FRAME)),
+        ))
     }
 
     /// Read one byte.
@@ -1467,6 +1624,7 @@ mod tests {
             pages_shared: 2,
             pages_copied: 3,
             table_clones: 4,
+            table_entries_copied: 5,
         };
         total.absorb(&delta);
         total.absorb(&delta);
@@ -1477,9 +1635,59 @@ mod tests {
                 pages_shared: 4,
                 pages_copied: 6,
                 table_clones: 8,
+                table_entries_copied: 10,
             }
         );
         assert_eq!(delta.delta_since(&delta), CowStats::default());
+    }
+
+    #[test]
+    fn first_store_after_a_snapshot_copies_one_chunk_not_the_table() {
+        let mut m = AddressSpace::new();
+        m.map(0x1000, 10_000 * PAGE_SIZE, Protection::ReadWrite);
+        let chunks = m.pages.root.len() as u64;
+        let base = m.cow_stats();
+        let mut child = m.snapshot();
+        child.write_u8(0x1000 + 5_000 * PAGE_SIZE, 1).unwrap();
+        let delta = child.cow_stats().delta_since(&base);
+        assert_eq!(delta.pages_shared, 10_000);
+        assert_eq!((delta.table_clones, delta.pages_copied), (1, 1));
+        assert!(
+            delta.table_entries_copied <= chunks + CHUNK_PAGES as u64,
+            "{} entries copied for one store",
+            delta.table_entries_copied
+        );
+        // A faulting store copies nothing at all.
+        let mut child = m.snapshot();
+        child.protect(0x1000, PAGE_SIZE, Protection::ReadOnly);
+        let before = child.cow_stats();
+        assert!(child.write_u8(0x1000, 1).is_err());
+        assert_eq!(child.cow_stats(), before);
+        assert_eq!(m.read_u8(0x1000 + 5_000 * PAGE_SIZE).unwrap(), 0);
+    }
+
+    #[test]
+    fn unmap_saturates_at_the_top_of_the_address_space() {
+        let mut m = AddressSpace::new();
+        m.map(0xffff_e000, 2 * PAGE_SIZE, Protection::ReadWrite);
+        m.unmap(0xffff_f000, 0x2000);
+        assert!(m.is_mapped(0xffff_e000));
+        assert!(!m.is_mapped(0xffff_f000));
+        assert_eq!(m.mapped_pages(), 1);
+        m.unmap(0xffff_e000, u32::MAX);
+        assert_eq!(m.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn protect_saturates_at_the_top_of_the_address_space() {
+        let mut m = AddressSpace::new();
+        m.map(0xffff_e000, 2 * PAGE_SIZE, Protection::ReadWrite);
+        m.protect(0xffff_f000, 0x2000, Protection::ReadOnly);
+        assert_eq!(m.protection_at(0xffff_e000), Some(Protection::ReadWrite));
+        assert_eq!(m.protection_at(u32::MAX), Some(Protection::ReadOnly));
+        m.protect(0xffff_e000, u32::MAX, Protection::None);
+        assert_eq!(m.protection_at(0xffff_e000), Some(Protection::None));
+        assert_eq!(m.protection_at(u32::MAX), Some(Protection::None));
     }
 
     #[test]

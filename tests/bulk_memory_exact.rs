@@ -5,7 +5,8 @@
 //! they replaced resolved two or three per byte. This suite holds them
 //! to those byte loops, over random layouts: unmapped holes, pages of
 //! every protection, a mapped top page that makes ranges wrap onto the
-//! null page, zero-frame pages, snapshot-shared frames, small fuel
+//! null page, layouts straddling a 64-page table chunk boundary,
+//! zero-frame pages, snapshot-shared frames and table chunks, small fuel
 //! budgets and overlapping `src`/`dst` ranges. Every case compares the
 //! return value, the fault (address and access), the memory image
 //! (partial writes included), the fuel used and the copy-on-write
@@ -15,14 +16,14 @@
 //!
 //! 1. `AddressSpace` accessors and kernels against a plain model of
 //!    the page table (per-page protection, bytes, and whether the
-//!    table and each frame are shared) that counts copy-on-write work
-//!    the way a per-byte store does;
+//!    table root, each 64-page chunk and each frame are shared) that
+//!    counts copy-on-write work the way a per-byte store does;
 //! 2. the fuel-metered `SimProcess` kernels against `tick(1)`-per-byte
 //!    loops;
 //! 3. the libc functions moved onto those kernels against the byte
 //!    loops they used to run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use healers_libc::world::{int_arg, ptr_arg};
@@ -33,9 +34,13 @@ use healers_simproc::{
 };
 use proptest::prelude::*;
 
-/// Where a layout starts unless it sits at the top of memory. Clear of
-/// the heap, stack, static and stdio mappings of a fresh `World`.
+/// Where a layout starts unless it sits at the top of memory or is
+/// shifted down. Clear of the heap, stack, static and stdio mappings of
+/// a fresh `World`, and the first page of a 64-page table chunk, so a
+/// layout shifted down by a page or more straddles a chunk boundary.
 const LAYOUT_BASE: u32 = 0x6000_0000;
+/// Pages in one page-table chunk.
+const CHUNK_PAGES: u32 = 64;
 /// A page mapped after a snapshot to unshare the page table alone.
 const UNSHARE_PAGE: u32 = 0x5f00_0000;
 
@@ -63,8 +68,11 @@ struct PageSpec {
 struct Layout {
     pages: Vec<PageSpec>,
     pattern: Vec<u8>,
-    /// Place the last page at the top of the address space.
+    /// Place the last page at the top of the address space (page
+    /// 0xfffff, in the top table chunk).
     top: bool,
+    /// Otherwise start this many pages below `LAYOUT_BASE`.
+    shift: u32,
     /// 0: no snapshot. 1: operate on a fresh snapshot (table and every
     /// frame shared). 2: snapshot, then unshare the table and rewrite
     /// the `rewrite` pages.
@@ -76,7 +84,7 @@ impl Layout {
         if self.top {
             0u32.wrapping_sub(self.pages.len() as u32 * PAGE_SIZE)
         } else {
-            LAYOUT_BASE
+            LAYOUT_BASE - self.shift * PAGE_SIZE
         }
     }
 
@@ -196,12 +204,14 @@ fn layout_strategy() -> impl Strategy<Value = Layout> {
         prop::collection::vec(page, 1..6),
         prop::collection::vec(byte, 64),
         any::<bool>(),
+        prop_oneof![Just(0u32), 1u32..6],
         0u8..3,
     )
-        .prop_map(|(pages, pattern, top, snap)| Layout {
+        .prop_map(|(pages, pattern, top, shift, snap)| Layout {
             pages,
             pattern,
             top,
+            shift,
             snap,
         })
 }
@@ -286,21 +296,34 @@ struct ModelPage {
 /// semantics, copy-on-write counts included, spelled out directly.
 struct Model {
     pages: BTreeMap<u32, ModelPage>,
-    /// The table itself is shared with a snapshot parent: the first
-    /// store clones it.
+    /// The table root is shared with a snapshot parent: the first store
+    /// copies it, one entry per chunk.
     table_shared: bool,
+    /// Chunks still shared with a snapshot parent: the first store to
+    /// each copies its 64 entries.
+    shared_chunks: BTreeSet<u32>,
     cow: CowStats,
 }
 
 impl Model {
     fn new(layout: &Layout) -> Model {
         let mut pages = BTreeMap::new();
+        let mut shared_chunks = BTreeSet::new();
+        let mut private_chunks = BTreeSet::new();
         for (i, spec) in layout.pages.iter().enumerate() {
             let Some(prot) = spec.prot else { continue };
+            let page = layout.page_addr(i) / PAGE_SIZE;
             let rewritten = layout.snap == 2 && spec.rewrite;
             let zero = matches!(spec.content, Content::Zero) && !rewritten;
+            if layout.snap != 0 {
+                shared_chunks.insert(page / CHUNK_PAGES);
+            }
+            if rewritten {
+                // The rewrite's store unshared the page's chunk.
+                private_chunks.insert(page / CHUNK_PAGES);
+            }
             pages.insert(
-                layout.page_addr(i) / PAGE_SIZE,
+                page,
                 ModelPage {
                     prot,
                     bytes: (0..PAGE_SIZE as usize).map(|j| layout.byte(i, j)).collect(),
@@ -311,6 +334,7 @@ impl Model {
         Model {
             pages,
             table_shared: layout.snap == 1,
+            shared_chunks: &shared_chunks - &private_chunks,
             cow: CowStats::default(),
         }
     }
@@ -326,19 +350,23 @@ impl Model {
     }
 
     fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), SimFault> {
-        let page = match self.pages.get_mut(&(addr / PAGE_SIZE)) {
-            Some(p) if p.prot.allows_write() => p,
-            _ => {
-                return Err(SimFault::Segv {
-                    addr,
-                    access: AccessKind::Write,
-                })
-            }
-        };
+        let n = addr / PAGE_SIZE;
+        if !self.pages.get(&n).is_some_and(|p| p.prot.allows_write()) {
+            return Err(SimFault::Segv {
+                addr,
+                access: AccessKind::Write,
+            });
+        }
         if self.table_shared {
+            let chunks: BTreeSet<u32> = self.pages.keys().map(|p| p / CHUNK_PAGES).collect();
             self.table_shared = false;
             self.cow.table_clones += 1;
+            self.cow.table_entries_copied += chunks.len() as u64;
         }
+        if self.shared_chunks.remove(&(n / CHUNK_PAGES)) {
+            self.cow.table_entries_copied += u64::from(CHUNK_PAGES);
+        }
+        let page = self.pages.get_mut(&n).expect("checked above");
         if page.shared {
             page.shared = false;
             self.cow.pages_copied += 1;
