@@ -24,11 +24,9 @@
 //!   `precheck` entry point against the end-of-run world and tracking
 //!   tables. This is steady-state checking throughput (warm validity
 //!   cache, no application compute, no library execution) — the
-//!   number the regression baseline gates. The same replay through
-//!   the interpreted check path (`calls_per_sec_interpreted`) is the
-//!   compiled-vs-interpreted ablation, and the same compiled replay
-//!   with the telemetry gate enabled (`calls_per_sec_metrics_on`) is
-//!   the observability ablation: every precheck then pays the latency
+//!   number the regression baseline gates. The same replay with the
+//!   telemetry gate enabled (`calls_per_sec_metrics_on`) is the
+//!   observability ablation: every precheck then pays the latency
 //!   clock read and histogram record on top of the always-on registry
 //!   counters.
 //!
@@ -49,8 +47,7 @@ use healers_ballista::ballista_targets;
 use healers_bench::{run_workload, run_workload_traced, workloads, TraceCall, Workload};
 use healers_core::checker::{CheckCounters, CheckKind};
 use healers_core::{
-    analyze, FnId, FunctionDecl, PlanMode, RobustnessWrapper, ViolationAction, WrapperBuilder,
-    WrapperConfig,
+    analyze, FnId, FunctionDecl, RobustnessWrapper, ViolationAction, WrapperBuilder, WrapperConfig,
 };
 use healers_libc::Libc;
 use healers_simproc::SimValue;
@@ -76,7 +73,6 @@ fn best(
 struct Row {
     name: &'static str,
     calls_per_sec: f64,
-    calls_per_sec_interpreted: f64,
     calls_per_sec_metrics_on: f64,
     calls_per_sec_repair: f64,
     workload_calls_per_sec: f64,
@@ -89,15 +85,10 @@ struct Row {
     lat_p99_ns: u64,
 }
 
-fn build_wrapper(
-    decls: &[FunctionDecl],
-    mode: PlanMode,
-    action: ViolationAction,
-) -> RobustnessWrapper {
+fn build_wrapper(decls: &[FunctionDecl], action: ViolationAction) -> RobustnessWrapper {
     WrapperBuilder::new()
         .decls(decls.to_vec())
         .config(WrapperConfig {
-            plan_mode: Some(mode),
             action,
             ..WrapperConfig::full_auto()
         })
@@ -149,18 +140,17 @@ fn replay_throughput(
     (calls.len() * passes) as f64 / best.as_secs_f64()
 }
 
-/// The hot-path metric for one plan mode: run the workload once to
-/// record its trace and final state, then replay the checked calls.
+/// The hot-path metric for one violation policy: run the workload once
+/// to record its trace and final state, then replay the checked calls.
 fn replay_calls_per_sec(
     libc: &Libc,
     decls: &[FunctionDecl],
     workload: &Workload,
-    mode: PlanMode,
     action: ViolationAction,
     reps: usize,
 ) -> f64 {
     let (_, trace, world, wrapper) =
-        run_workload_traced(libc, workload, Some(build_wrapper(decls, mode, action)));
+        run_workload_traced(libc, workload, Some(build_wrapper(decls, action)));
     let mut wrapper = wrapper.expect("wrapper survives the workload");
     let calls = checked_calls(&wrapper, &trace);
     replay_throughput(&world, &mut wrapper, &calls, reps)
@@ -213,14 +203,8 @@ fn measure(libc: &Libc, decls: &[FunctionDecl], workload: &Workload, reps: usize
     // counters themselves are unconditional and thus part of every
     // throughput number in this table.
     healers_trace::set_enabled(true);
-    let metrics_on = replay_calls_per_sec(
-        libc,
-        decls,
-        workload,
-        PlanMode::Compiled,
-        ViolationAction::ReturnError,
-        reps,
-    );
+    let metrics_on =
+        replay_calls_per_sec(libc, decls, workload, ViolationAction::ReturnError, reps);
     healers_trace::set_enabled(false);
     Row {
         name: workload.name,
@@ -228,15 +212,6 @@ fn measure(libc: &Libc, decls: &[FunctionDecl], workload: &Workload, reps: usize
             libc,
             decls,
             workload,
-            PlanMode::Compiled,
-            ViolationAction::ReturnError,
-            reps,
-        ),
-        calls_per_sec_interpreted: replay_calls_per_sec(
-            libc,
-            decls,
-            workload,
-            PlanMode::Interpreted,
             ViolationAction::ReturnError,
             reps,
         ),
@@ -251,7 +226,6 @@ fn measure(libc: &Libc, decls: &[FunctionDecl], workload: &Workload, reps: usize
             libc,
             decls,
             workload,
-            PlanMode::Compiled,
             ViolationAction::Repair,
             reps,
         ),
@@ -273,7 +247,6 @@ fn json_for(rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"calls_per_sec\": {:.0}, \
-             \"calls_per_sec_interpreted\": {:.0}, \
              \"calls_per_sec_metrics_on\": {:.0}, \
              \"calls_per_sec_repair\": {:.0}, \
              \"workload_calls_per_sec\": {:.0}, \
@@ -284,7 +257,6 @@ fn json_for(rows: &[Row]) -> String {
              \"lat_p50_ns\": {}, \"lat_p99_ns\": {}}}{}\n",
             r.name,
             r.calls_per_sec,
-            r.calls_per_sec_interpreted,
             r.calls_per_sec_metrics_on,
             r.calls_per_sec_repair,
             r.workload_calls_per_sec,
@@ -364,11 +336,6 @@ fn main() {
         print!("{:>12.0}", r.calls_per_sec);
     }
     println!("   (trace replay, compiled plans)");
-    print!("{:<22}", "  interpreted");
-    for r in &rows {
-        print!("{:>12.0}", r.calls_per_sec_interpreted);
-    }
-    println!("   (same replay, interpreted checks)");
     print!("{:<22}", "  metrics-on");
     for r in &rows {
         print!("{:>12.0}", r.calls_per_sec_metrics_on);
@@ -379,14 +346,6 @@ fn main() {
         print!("{:>12.0}", r.calls_per_sec_repair);
     }
     println!("   (same replay, --on-violation repair)");
-    print!("{:<22}", "  compiled speedup");
-    for r in &rows {
-        print!(
-            "{:>11.2}x",
-            r.calls_per_sec / r.calls_per_sec_interpreted.max(1.0)
-        );
-    }
-    println!();
     print!("{:<22}", "time in library");
     for r in &rows {
         print!("{:>11.2}%", r.time_in_library);

@@ -10,7 +10,9 @@
 //! | Table 2 (execution overhead of 4 utilities) | `cargo run -p healers-bench --bin table2_overhead --release` |
 //! | §3 extraction statistics | `cargo run -p healers-bench --bin section3_extraction --release` |
 //! | Figure 2 / Figure 5 artifacts | `cargo run -p healers-bench --bin fig2_fig5_artifacts --release` |
-//! | Criterion micro/ablation benches | `cargo bench -p healers-bench` |
+//!
+//! Per-layer timings (kernels, per-check ops, wrapped calls) come from
+//! `healbench --trace 1`, not from this crate.
 
 pub mod workloads;
 

@@ -64,7 +64,7 @@ pub use checker::{CheckCounters, CheckKind, CheckOutcomes};
 pub use decl::{analyze, FunctionAttribute, FunctionDecl};
 pub use emit::{emit_checks_header, emit_wrapper_source, emit_wrapper_source_as};
 pub use overrides::{semi_auto_overrides, ManualOverride, SizeAssertion};
-pub use plan::{eval_op, CheckOp, CompiledPlan, FormatViolation, OpAction, PlanMode};
+pub use plan::{eval_op, CheckOp, CompiledPlan, FormatViolation, OpAction};
 pub use wrapper::{
     FnId, FnTelemetry, ParseViolationActionError, PendingCall, Repair, RobustnessWrapper, Verdict,
     ViolationAction, WrapperBuilder, WrapperConfig, WrapperStats,

@@ -1,12 +1,13 @@
 //! Compiled check plans: build-time specialization of each wrapped
 //! function's checks into one flat superword-bytecode program.
 //!
-//! The interpreted wrapper re-derives everything on every call: a
-//! `BTreeMap` dispatch per table, a walk over `Vec<Option<TypeExpr>>`
-//! skipping unchecked slots, a `match` over the full type lattice per
-//! claim, and a second loop over the executable assertions. All of
-//! that is known at [`WrapperBuilder::build`](crate::WrapperBuilder)
-//! time, so the builder now *compiles* it once: per function, one
+//! Interpreting the declarations would re-derive everything on every
+//! call: a `BTreeMap` dispatch per table, a walk over
+//! `Vec<Option<TypeExpr>>` skipping unchecked slots, a `match` over the
+//! full type lattice per claim, and a second loop over the executable
+//! assertions. All of that is known at
+//! [`WrapperBuilder::build`](crate::WrapperBuilder) time, so the
+//! builder *compiles* it once: per function, one
 //! contiguous [`CheckOp`] array — typed claims in argument order, then
 //! assertions — where every op carries its argument index, its
 //! pre-resolved [`CheckKind`], its cacheability, and a flattened
@@ -20,7 +21,9 @@
 //! arms (each `OpAction` arm calls the *same* `pub(crate)` checker
 //! kernels with the same operands), and the differential tests below
 //! drive both evaluators over the entire checkable universe asserting
-//! identical verdicts and identical [`CheckCounters`] traffic.
+//! identical verdicts and identical [`CheckCounters`] traffic. At the
+//! wrapper level, `INV-PLAN-EXACT` holds whole compiled programs to the
+//! interpreted walk (a test-only oracle) over every analysed function.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -35,32 +38,6 @@ use crate::checker::{
     CheckKind, Tables, MAX_STRING_SCAN,
 };
 use crate::overrides::{SizeAssertion, SizeTerm};
-
-/// Which check program the wrapper executes on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// The flat compiled [`CheckOp`] program (the default).
-    #[default]
-    Compiled,
-    /// The original per-call plan interpretation — kept as the
-    /// reference implementation the compiled path is differentially
-    /// validated against (CI byte-diffs Fig6/Table1/report between the
-    /// two modes).
-    Interpreted,
-}
-
-/// Resolve the plan mode from the `HEALERS_PLAN_MODE` environment
-/// variable: `interpreted` (any case) selects [`PlanMode::Interpreted`],
-/// everything else — including unset — the compiled default. Consulted
-/// once per [`WrapperBuilder::build`](crate::WrapperBuilder::build)
-/// when the config leaves the mode unset, so every binary in the
-/// workspace can be flipped without CLI plumbing.
-pub fn plan_mode_from_env() -> PlanMode {
-    match std::env::var("HEALERS_PLAN_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("interpreted") => PlanMode::Interpreted,
-        _ => PlanMode::Compiled,
-    }
-}
 
 /// Integer-domain comparison for the scalar claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -919,19 +896,6 @@ mod tests {
             check_format(&world, &[dst, SimValue::NULL], 1, 2, &mut c),
             Some(FormatViolation::BadFormat { arg: 1 })
         );
-    }
-
-    #[test]
-    fn env_mode_selection() {
-        // Only ever read through plan_mode_from_env in builds; the
-        // test documents the accepted spelling.
-        assert_eq!(PlanMode::default(), PlanMode::Compiled);
-        std::env::set_var("HEALERS_PLAN_MODE", "Interpreted");
-        assert_eq!(plan_mode_from_env(), PlanMode::Interpreted);
-        std::env::set_var("HEALERS_PLAN_MODE", "compiled");
-        assert_eq!(plan_mode_from_env(), PlanMode::Compiled);
-        std::env::remove_var("HEALERS_PLAN_MODE");
-        assert_eq!(plan_mode_from_env(), PlanMode::Compiled);
     }
 
     #[test]
