@@ -23,7 +23,7 @@
 use healers_core::{analyze, RobustnessWrapper, Verdict, WrapperBuilder, WrapperConfig};
 use healers_inject::WindowMutator;
 use healers_libc::{Libc, World};
-use healers_simproc::{run_in_child_with, ChildResult, Containment, SimFault, SimValue};
+use healers_simproc::{run_in_child, ChildResult, SimFault, SimValue};
 
 /// A scenario's world preparation: returns `(victim args, mutator
 /// target)`. Setup calls go through the wrapper: under interposition
@@ -206,7 +206,7 @@ fn run_scenario(
     let mut wrapper = WrapperBuilder::new().decls(decls).config(config).build();
     let parent = World::new_guarded();
     let mut verdict: Option<Verdict> = None;
-    let (result, _child) = run_in_child_with(&parent, Containment::Cow, |w: &mut World| {
+    let (result, _child) = run_in_child(&parent, |w: &mut World| {
         w.proc.spawn_thread();
         let (args, target) = (scenario.setup)(libc, &mut wrapper, w)?;
         let pending = wrapper.begin_call(libc, w, scenario.victim, &args);

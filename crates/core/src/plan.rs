@@ -365,13 +365,47 @@ pub enum FormatViolation {
     },
 }
 
+/// Where a `printf` directive parse stands after a byte: in literal
+/// text, or inside a directive past its `%`, flags, width, precision
+/// or length modifiers.
+#[derive(Clone, Copy)]
+enum Directive {
+    Text,
+    Flags,
+    Width,
+    Precision,
+    Length,
+}
+
+impl Directive {
+    /// Feed one format byte. `Err(conv)` when the byte is a directive's
+    /// conversion: flags, width, precision and length modifiers are
+    /// skipped exactly as the renderer parses them, so both agree on
+    /// which byte is the conversion.
+    fn step(self, b: u8) -> Result<Directive, u8> {
+        use Directive::*;
+        match self {
+            Text if b == b'%' => Ok(Flags),
+            Text => Ok(Text),
+            Flags if matches!(b, b'-' | b'0' | b'+' | b' ' | b'#') => Ok(Flags),
+            Flags | Width if b.is_ascii_digit() => Ok(Width),
+            Flags | Width if b == b'.' => Ok(Precision),
+            Precision if b.is_ascii_digit() => Ok(Precision),
+            _ if matches!(b, b'l' | b'h' | b'z') => Ok(Length),
+            _ => Err(b),
+        }
+    }
+}
+
 /// Scan a `printf`-family call's format string and varargs, mirroring
 /// the renderer's directive grammar exactly: `%%` and unknown
 /// conversions consume no vararg, the numeric/char/pointer conversions
 /// consume one (any value formats safely), `%s` consumes one whose
 /// pointer must be a readable NUL-terminated string (the renderer
-/// dereferences it blindly), and `%n` fails the call outright. `None`
-/// means the call is safe to forward.
+/// dereferences it blindly), and `%n` fails the call outright. A
+/// directive cut short by the terminator renders literally. `None`
+/// means the call is safe to forward. The format is parsed in place
+/// over the resident frames, so the check allocates nothing.
 pub fn check_format(
     world: &World,
     args: &[SimValue],
@@ -389,44 +423,18 @@ pub fn check_format(
     let Some(len) = scan_string(world, fmt, MAX_STRING_SCAN, false, ctrs) else {
         return Some(FormatViolation::BadFormat { arg: fmt_arg });
     };
-    let Ok(bytes) = world.proc.mem.read_bytes(fmt, len) else {
-        return Some(FormatViolation::BadFormat { arg: fmt_arg });
-    };
     let mut vararg = varargs_from as usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] != b'%' {
-            i += 1;
-            continue;
-        }
-        i += 1;
-        if i >= bytes.len() {
-            // Trailing lone '%': the renderer emits it literally.
-            break;
-        }
-        // Flags, width, precision, length modifiers — skipped exactly
-        // as the renderer parses them, so both agree on which byte is
-        // the conversion.
-        while i < bytes.len() && matches!(bytes[i], b'-' | b'0' | b'+' | b' ' | b'#') {
-            i += 1;
-        }
-        while i < bytes.len() && bytes[i].is_ascii_digit() {
-            i += 1;
-        }
-        if i < bytes.len() && bytes[i] == b'.' {
-            i += 1;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
+    let mut state = Directive::Text;
+    let mut violation = None;
+    let parsed = world.proc.mem.scan(fmt, len, |b| {
+        let conv = match state.step(b) {
+            Ok(next) => {
+                state = next;
+                return false;
             }
-        }
-        while i < bytes.len() && matches!(bytes[i], b'l' | b'h' | b'z') {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            break;
-        }
-        let conv = bytes[i];
-        i += 1;
+            Err(conv) => conv,
+        };
+        state = Directive::Text;
         match conv {
             b'%' => {}
             b'd' | b'i' | b'u' | b'x' | b'X' | b'o' | b'c' | b'p' | b'f' | b'g' | b'e' => {
@@ -441,16 +449,20 @@ pub fn check_format(
                     .unwrap_or(SimValue::Int(0))
                     .as_ptr();
                 if scan_string(world, ptr, MAX_STRING_SCAN, false, ctrs).is_none() {
-                    return Some(FormatViolation::BadString { arg: vararg as u32 });
+                    violation = Some(FormatViolation::BadString { arg: vararg as u32 });
                 }
                 vararg += 1;
             }
-            b'n' => return Some(FormatViolation::PercentN { arg: fmt_arg }),
+            b'n' => violation = Some(FormatViolation::PercentN { arg: fmt_arg }),
             // Unknown conversions render literally, consuming nothing.
             _ => {}
         }
+        violation.is_some()
+    });
+    match parsed {
+        Ok(_) => violation,
+        Err(_) => Some(FormatViolation::BadFormat { arg: fmt_arg }),
     }
-    None
 }
 
 /// Evaluate a size assertion's required byte count. `None` means the
@@ -845,6 +857,10 @@ mod tests {
         let pn = world.alloc_cstr("count%n");
         let sfmt = world.alloc_cstr("%s");
         let payload = world.alloc_cstr("payload");
+        let block = world.proc.heap_alloc(3 * 4096).unwrap();
+        let split = (block + 4096) & !4095;
+        world.proc.mem.write_bytes(split - 4, b"%-8.3ls\0").unwrap();
+        let split_fmt = SimValue::Ptr(split - 4);
         let check = |args: &[SimValue]| {
             let mut c = CheckCounters::default();
             eval_op(&world, &tables, &caps, args, op, &mut c)
@@ -875,6 +891,14 @@ mod tests {
         assert!(!check(&[dst, SimValue::Ptr(pn)]), "%n is rejected outright");
         assert!(!check(&[dst, SimValue::Ptr(0xdead_0000)]), "unreadable fmt");
         assert!(check(&[dst, SimValue::Ptr(sfmt), SimValue::Ptr(payload)]));
+
+        // A directive split across a page boundary parses as one: the
+        // parse runs over the resident frames in place.
+        assert!(check(&[dst, split_fmt, SimValue::Ptr(payload)]));
+        assert!(
+            !check(&[dst, split_fmt, SimValue::Ptr(0xdead_0000)]),
+            "the %s after the boundary must be checked"
+        );
 
         // The violation detail names the argument repair must fix.
         let mut c = CheckCounters::default();

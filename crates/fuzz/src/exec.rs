@@ -1,7 +1,7 @@
 //! Contained sequence execution.
 //!
 //! A whole sequence runs inside **one** copy-on-write child
-//! ([`Containment::Cow`]) of a pristine guarded world: state flows
+//! ([`run_in_child`]) of a pristine guarded world: state flows
 //! between the steps (that is the point of sequence fuzzing), but
 //! nothing a sequence does — partial writes, allocator corruption, a
 //! fault at step 3 — can leak into the fuzzer or the next sequence.
@@ -39,8 +39,8 @@ use healers_core::{CheckOutcomes, FunctionDecl};
 use healers_inject::benign_arg;
 use healers_libc::{Libc, World};
 use healers_simproc::{
-    run_in_child_with, ChildResult, Containment, CoverageSite, FaultSite, PageRun, Protection,
-    Scheduler, SimFault, SimValue,
+    run_in_child, ChildResult, CoverageSite, FaultSite, PageRun, Protection, Scheduler, SimFault,
+    SimValue,
 };
 use healers_trace::recorder::flight;
 use healers_typesys::Outcome;
@@ -395,7 +395,7 @@ fn execute_inner(
 
     let mut records: Vec<StepRecord> = Vec::with_capacity(seq.len());
     let lanes = seq.max_thread();
-    let (result, child) = run_in_child_with(&parent, Containment::Cow, |w: &mut World| {
+    let (result, child) = run_in_child(&parent, |w: &mut World| {
         for _ in 0..lanes {
             w.proc.spawn_thread();
         }

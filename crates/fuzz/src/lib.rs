@@ -15,7 +15,7 @@
 //! - [`mod@generate`] — dependency-graph generation and mutation over the
 //!   declaration corpus (resource-typed, RULF-style);
 //! - [`exec`] — whole-sequence execution inside one CoW-snapshot child
-//!   ([`healers_simproc::Containment::Cow`]), wrapped or unwrapped,
+//!   ([`healers_simproc::run_in_child`]), wrapped or unwrapped,
 //!   with per-step outcome/`errno`/check records and a final
 //!   world-image digest;
 //! - [`coverage`] — an address-free coverage map keyed on simproc

@@ -60,11 +60,6 @@ pub trait TestCaseGenerator {
 
     /// Feedback from the campaign: the final outcome of a case.
     fn observe(&mut self, _case: &TestCase, _outcome: Outcome) {}
-
-    /// Re-arm adaptivity for a new test vector (used by the
-    /// cross-product campaign, where the same adaptive case appears in
-    /// many vectors).
-    fn reactivate(&mut self) {}
 }
 
 // ---------------------------------------------------------------------
@@ -231,12 +226,6 @@ impl TestCaseGenerator for ArrayGen {
                 }
                 self.adaptive_active = false;
             }
-        }
-    }
-
-    fn reactivate(&mut self) {
-        if self.current.is_some() {
-            self.adaptive_active = true;
         }
     }
 }

@@ -18,6 +18,9 @@ pub const MAX_RETRIES_PER_CASE: usize = 8192;
 /// Fuel budget per injected call — the hang-detection timeout.
 pub const INJECTION_FUEL: u64 = 200_000;
 
+/// The robust-type selection criterion every campaign uses (§4.3).
+const CRITERION: SelectionCriterion = SelectionCriterion::SuccessfulReturns;
+
 /// Robust-type result for a single argument.
 #[derive(Debug, Clone)]
 pub struct ArgReport {
@@ -66,8 +69,6 @@ pub struct FaultInjector<'l> {
     libc: &'l Libc,
     name: String,
     proto: FunctionPrototype,
-    criterion: SelectionCriterion,
-    fuel: u64,
 }
 
 impl<'l> FaultInjector<'l> {
@@ -79,27 +80,13 @@ impl<'l> FaultInjector<'l> {
             libc,
             name: name.to_string(),
             proto,
-            criterion: SelectionCriterion::SuccessfulReturns,
-            fuel: INJECTION_FUEL,
         })
-    }
-
-    /// Use a different robust-type selection criterion.
-    pub fn with_criterion(mut self, criterion: SelectionCriterion) -> Self {
-        self.criterion = criterion;
-        self
-    }
-
-    /// Use a different hang-detection fuel budget.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
-        self
     }
 
     /// Run the full campaign and compute the report.
     pub fn run(&self) -> InjectionReport {
         let mut world = World::new_guarded();
-        world.proc.set_fuel_budget(self.fuel);
+        world.proc.set_fuel_budget(INJECTION_FUEL);
         // The environment is part of the test surface: functions that
         // read the controlling terminal (gets) must find input there.
         world.kernel.type_input(0, b"healers stdin line\n");
@@ -237,7 +224,7 @@ impl<'l> FaultInjector<'l> {
                     .map(|r| Observation::new(r.fundamental, r.outcome))
                     .collect();
                 let universe = g.universe();
-                let robust = robust_type(&universe, &observations, self.criterion);
+                let robust = robust_type(&universe, &observations, CRITERION);
                 ArgReport {
                     generator: g.name(),
                     observations,
@@ -282,7 +269,7 @@ impl<'l> FaultInjector<'l> {
         let _ = writeln!(
             sig,
             "criterion {:?} fuel {} retries {}",
-            self.criterion, self.fuel, MAX_RETRIES_PER_CASE
+            CRITERION, INJECTION_FUEL, MAX_RETRIES_PER_CASE
         );
         sig
     }

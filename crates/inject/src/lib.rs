@@ -36,7 +36,6 @@ pub mod generators;
 pub mod injector;
 pub mod mutator;
 pub mod select_gen;
-pub mod vector_campaign;
 
 pub use case::{classify_child_result, CallRecord, TestCase};
 pub use errcode::{ErrCodeClass, ErrCodeReport};
@@ -44,4 +43,3 @@ pub use generators::TestCaseGenerator;
 pub use injector::{ArgReport, FaultInjector, InjectionReport};
 pub use mutator::WindowMutator;
 pub use select_gen::{benign_arg, benign_args, generator_for};
-pub use vector_campaign::{run_vector_campaign, VectorReport};

@@ -384,25 +384,6 @@ impl ServeTelemetry {
             })
             .collect()
     }
-
-    /// Render `kind calls p50(ns) p99(ns)` lines (empty when the gate
-    /// stayed off).
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let hists = self.hists.lock().unwrap();
-        let mut out = String::new();
-        for (kind, h) in hists.iter() {
-            let _ = writeln!(
-                out,
-                "  {:<10} {:>10} {:>10} {:>10}",
-                kind,
-                h.count(),
-                h.percentile(50.0),
-                h.percentile(99.0)
-            );
-        }
-        out
-    }
 }
 
 /// Per-session (per-connection) counters: the payload of a `Report`
@@ -654,8 +635,6 @@ pub struct Daemon {
     worker_handles: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<ServeCounters>,
-    telemetry: Arc<ServeTelemetry>,
-    hub: Arc<StatsHub>,
 }
 
 impl Daemon {
@@ -742,24 +721,12 @@ impl Daemon {
             worker_handles,
             shutdown,
             counters,
-            telemetry,
-            hub,
         }
     }
 
     /// Daemon-global counters.
     pub fn counters(&self) -> Arc<ServeCounters> {
         Arc::clone(&self.counters)
-    }
-
-    /// Gated per-request latency telemetry.
-    pub fn telemetry(&self) -> Arc<ServeTelemetry> {
-        Arc::clone(&self.telemetry)
-    }
-
-    /// The live statistics hub backing `Request::Stats`.
-    pub fn stats_hub(&self) -> Arc<StatsHub> {
-        Arc::clone(&self.hub)
     }
 
     /// Ask the accept loop to stop (without a `Shutdown` request).

@@ -1142,7 +1142,9 @@ impl AddressSpace {
 
     /// A read loop over `[addr, addr+len)` that stops at the first byte
     /// for which `stop` holds, returning its index (`None` when no byte
-    /// in the range matches) — `memchr`, `strlen`, `strchr`.
+    /// in the range matches) — `memchr`, `strlen`, `strchr`. `stop`
+    /// sees the bytes once each in address order, so it may carry
+    /// state: a parser can run over the resident frames in place.
     ///
     /// # Errors
     ///
@@ -1151,7 +1153,7 @@ impl AddressSpace {
         &self,
         addr: Addr,
         len: u32,
-        stop: impl Fn(u8) -> bool,
+        mut stop: impl FnMut(u8) -> bool,
     ) -> Result<Option<u32>, BulkFault> {
         let mut done = 0u32;
         while done < len {

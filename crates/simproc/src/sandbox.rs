@@ -88,7 +88,8 @@ impl WorldSnapshot for SimProcess {
     }
 }
 
-/// How [`run_in_child_with`] captures the parent image.
+/// How a contained call captures the parent image (Ballista's
+/// `with_containment`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Containment {
     /// Copy-on-write snapshot: O(1) capture, O(dirty pages) divergence.
@@ -109,19 +110,7 @@ where
     W: WorldSnapshot,
     F: FnOnce(&mut W) -> Result<SimValue, SimFault>,
 {
-    run_in_child_with(world, Containment::Cow, call)
-}
-
-/// [`run_in_child`] with an explicit containment mechanism.
-pub fn run_in_child_with<W, F>(world: &W, containment: Containment, call: F) -> (ChildResult, W)
-where
-    W: WorldSnapshot,
-    F: FnOnce(&mut W) -> Result<SimValue, SimFault>,
-{
-    let mut child = match containment {
-        Containment::Cow => world.snapshot(),
-        Containment::DeepClone => world.deep_clone(),
-    };
+    let mut child = world.snapshot();
     let result = match call(&mut child) {
         Ok(v) => ChildResult::Returned(v),
         Err(f) => ChildResult::Faulted(f),
@@ -172,16 +161,19 @@ mod tests {
         let buf = parent.heap_alloc(16).unwrap();
         parent.mem.write_bytes(buf, b"0123456789abcdef").unwrap();
 
-        let run = |containment| {
-            let (result, child) = run_in_child_with(&parent, containment, |p: &mut SimProcess| {
-                p.mem.write_bytes(buf, b"XY")?;
-                p.mem.read_u8(0xdead_0000)?;
-                Ok(SimValue::Void)
-            });
-            (result, child.mem.read_bytes(buf, 16).unwrap())
+        let call = |p: &mut SimProcess| {
+            p.mem.write_bytes(buf, b"XY")?;
+            p.mem.read_u8(0xdead_0000)?;
+            Ok(SimValue::Void)
         };
-        let (cow_result, cow_bytes) = run(Containment::Cow);
-        let (deep_result, deep_bytes) = run(Containment::DeepClone);
+        let (cow_result, cow_child) = run_in_child(&parent, call);
+        let cow_bytes = cow_child.mem.read_bytes(buf, 16).unwrap();
+        let mut deep = parent.deep_clone();
+        let deep_result = match call(&mut deep) {
+            Ok(v) => ChildResult::Returned(v),
+            Err(f) => ChildResult::Faulted(f),
+        };
+        let deep_bytes = deep.mem.read_bytes(buf, 16).unwrap();
         assert_eq!(cow_result, deep_result);
         assert_eq!(cow_bytes, deep_bytes);
         // Parent untouched either way.

@@ -7,10 +7,6 @@
 //!
 //! * [`hist`] — fixed log2-bucket latency [`Histogram`]s: 64 buckets,
 //!   constant memory, mergeable, with percentile queries;
-//! * [`collector`] — spans and counters, buffered per thread in a
-//!   [`ThreadBuffer`] and drained over a channel by one
-//!   [`Collector`] thread (the same single-writer pattern as the
-//!   campaign journal);
 //! * [`chrome`] — a [`ChromeTrace`] builder emitting trace-event JSON
 //!   loadable in `chrome://tracing` / Perfetto;
 //! * [`json`] — the workspace's hand-rolled JSON emitter and
@@ -36,7 +32,6 @@
 //! workspace can use it.
 
 pub mod chrome;
-pub mod collector;
 pub mod hist;
 pub mod json;
 pub mod metrics;
@@ -45,7 +40,6 @@ pub mod recorder;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use chrome::ChromeTrace;
-pub use collector::{Collector, EventSender, ThreadBuffer, TraceRecord};
 pub use hist::Histogram;
 pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use recorder::{FlightEvent, FlightRecorder};

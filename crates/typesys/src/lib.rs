@@ -18,8 +18,8 @@
 //! arrays (Figure 3) and file pointers (Figure 4) — plus the companion
 //! hierarchies its evaluation needs (directory pointers, C strings, mode
 //! strings, file descriptors, scalar integers), the subtype relation
-//! including the cross-hierarchy edges (`OPEN_FILE ≤ RW_ARRAY[s]`), type
-//! vectors for n-ary functions, and the robust/safe selection algorithm.
+//! including the cross-hierarchy edges (`OPEN_FILE ≤ RW_ARRAY[s]`), and
+//! the robust/safe selection algorithm.
 //!
 //! # Examples
 //!
@@ -50,7 +50,6 @@ pub mod expr;
 pub mod order;
 pub mod select;
 pub mod universe;
-pub mod vector;
 
 pub use expr::TypeExpr;
 pub use order::{is_strict_subtype, is_subtype};
@@ -58,4 +57,3 @@ pub use select::{
     robust_type, robust_type_traced, Observation, Outcome, RobustType, SelectionCriterion,
     SelectionTrace,
 };
-pub use vector::TypeVector;

@@ -31,6 +31,20 @@ fn cfsetispeed_needs_write_cfsetospeed_needs_read_write() {
     );
 }
 
+/// §4.1's access-permission discovery, pinned at the injector's exact
+/// answers: `strcmp` only reads its two strings, `strcpy` writes its
+/// destination, and `strtol` writes `*endptr` (or takes NULL).
+#[test]
+fn strcmp_reads_while_strcpy_and_strtol_write() {
+    let robust = |name: &str| -> Vec<TypeExpr> {
+        let report = injector_report(name);
+        report.args.iter().map(|a| a.robust.robust).collect()
+    };
+    assert_eq!(robust("strcmp"), [TypeExpr::RArray(1), TypeExpr::RArray(1)]);
+    assert_eq!(robust("strcpy")[0], TypeExpr::WArray(7));
+    assert_eq!(robust("strtol")[1], TypeExpr::WArrayNull(4));
+}
+
 /// "functions fopen and freopen crash when the mode string is invalid
 /// but can cope with invalid file names."
 #[test]

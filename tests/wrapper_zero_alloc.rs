@@ -7,11 +7,9 @@
 //! So after a warm-up, `call` and `begin_call` + `finish_call(false)`
 //! must add no heap allocation to `Libc::call`. A counting global
 //! allocator tallies allocations per thread, which keeps the test
-//! harness's own threads out of the count.
-//!
-//! Known exception, not covered here: the `printf`-family format
-//! check copies the format string out with `read_bytes`, so a wrapped
-//! `sprintf` makes one allocation per call more than the bare one.
+//! harness's own threads out of the count. The `printf`-family
+//! format check parses the format in place, so `sprintf`, `snprintf`
+//! and `fprintf` are held to the same count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,7 +98,9 @@ fn drive(
 #[test]
 fn wrapped_calls_allocate_no_more_than_bare_calls() {
     let libc = Libc::standard();
-    let functions = ["strlen", "strcmp", "strcpy", "fread", "fgets"];
+    let functions = [
+        "strlen", "strcmp", "strcpy", "fread", "fgets", "sprintf", "snprintf", "fprintf",
+    ];
     let decls = analyze(&libc, &functions);
     let mut w = WrapperBuilder::new()
         .decls(decls)
@@ -123,8 +123,28 @@ fn wrapped_calls_allocate_no_more_than_bare_calls() {
     let mode = SimValue::Ptr(world.alloc_cstr("r"));
     let stream = w.call(&libc, &mut world, "fopen", &[path, mode]).unwrap();
     assert_ne!(stream, SimValue::NULL);
+    let out_path = SimValue::Ptr(world.alloc_cstr("/tmp/zero-alloc-out"));
+    let out_mode = SimValue::Ptr(world.alloc_cstr("w"));
+    let out = w
+        .call(&libc, &mut world, "fopen", &[out_path, out_mode])
+        .unwrap();
+    assert_ne!(out, SimValue::NULL);
+    // Every directive kind the format check walks: flags, width,
+    // precision, a length modifier, `%%`, and a checked `%s`.
+    let fmt = SimValue::Ptr(world.alloc_cstr("%-4d|%08.3lx|%%|%s|%c"));
+    let printf_args = |head: &[SimValue]| {
+        let mut args = head.to_vec();
+        args.extend([
+            fmt,
+            SimValue::Int(42),
+            SimValue::Int(7),
+            src,
+            SimValue::Int(65),
+        ]);
+        args
+    };
 
-    let cases: [(&str, Vec<SimValue>); 5] = [
+    let cases: [(&str, Vec<SimValue>); 8] = [
         ("strlen", vec![src]),
         ("strcmp", vec![src, other]),
         ("strcpy", vec![dst, src]),
@@ -133,16 +153,27 @@ fn wrapped_calls_allocate_no_more_than_bare_calls() {
             vec![dst, SimValue::Int(8), SimValue::Int(8), stream],
         ),
         ("fgets", vec![dst, SimValue::Int(32), stream]),
+        ("sprintf", printf_args(&[dst])),
+        ("snprintf", printf_args(&[dst, SimValue::Int(64)])),
+        ("fprintf", printf_args(&[out])),
     ];
     for (name, args) in &cases {
         let id = w.resolve(name).expect("declared");
         assert!(w.is_checked(id), "{name} must run prefix checks");
+        // Grow the output file to its full size once, so no measured
+        // batch pays for the file's own growth.
+        libc.call(&mut world, "rewind", &[out]).unwrap();
+        drive(Path::Bare, CALLS, &libc, &mut world, &mut w, name, args);
         let mut counts = Vec::new();
         for path in [Path::Bare, Path::Call, Path::Split] {
-            // Every batch starts from the same stream position.
-            libc.call(&mut world, "rewind", &[stream]).unwrap();
+            // Every batch starts from the same stream positions.
+            for s in [stream, out] {
+                libc.call(&mut world, "rewind", &[s]).unwrap();
+            }
             drive(path, WARMUP, &libc, &mut world, &mut w, name, args);
-            libc.call(&mut world, "rewind", &[stream]).unwrap();
+            for s in [stream, out] {
+                libc.call(&mut world, "rewind", &[s]).unwrap();
+            }
             counts.push(allocations(|| {
                 drive(path, CALLS, &libc, &mut world, &mut w, name, args)
             }));
