@@ -13,12 +13,12 @@
 //! different, and in some ways harsher, regime for argument checking.
 
 use healers_core::RobustnessWrapper;
-use healers_libc::{Libc, World};
-use healers_simproc::SimValue;
+use healers_libc::Libc;
+use healers_simproc::{Containment, SimValue};
 
-use crate::pools::{param_kind, prepare, Pools};
-use crate::report::{BallistaReport, TestClass};
-use crate::runner::BALLISTA_FUEL;
+use crate::pools::{param_kind, Pools};
+use crate::report::BallistaReport;
+use crate::runner::PreparedMode;
 
 /// Flip bit `bit` of an argument value (pointers and integers flip in
 /// their 32-bit machine representation; doubles in their low word).
@@ -53,42 +53,22 @@ fn baseline(libc: &Libc, pools: &Pools, name: &str) -> Vec<SimValue> {
 /// Run the bit-flip campaign for a set of functions under one
 /// configuration (`wrapper = None` for the unwrapped library). Every
 /// single-bit corruption of every argument of every function is one
-/// test.
+/// test, contained as a Ballista test is.
 pub fn run_bitflip(
     libc: &Libc,
     functions: &[&str],
     wrapper: Option<RobustnessWrapper>,
     label: &str,
 ) -> BallistaReport {
-    let mut wrapper = wrapper;
-    let mut world = World::new();
-    world.proc.set_fuel_budget(BALLISTA_FUEL);
-    let pools = prepare(libc, &mut wrapper, &mut world);
-
+    let prepared = PreparedMode::new(libc, "bit-flip", wrapper, Containment::Cow);
     let mut report = BallistaReport::new(label);
     for name in functions {
-        let base = baseline(libc, &pools, name);
+        let base = baseline(libc, &prepared.pools, name);
         for arg in 0..base.len() {
             for bit in 0..32u32 {
                 let mut args = base.clone();
                 args[arg] = flip(args[arg], bit);
-                let mut child = world.clone();
-                child.proc.set_errno(0);
-                let result = match &wrapper {
-                    Some(w) => {
-                        let mut w = w.clone();
-                        w.call(libc, &mut child, name, &args)
-                    }
-                    None => libc.call(&mut child, name, &args),
-                };
-                let class = match result {
-                    Ok(_) if child.proc.errno() != 0 => TestClass::ErrnoSet,
-                    Ok(_) => TestClass::Silent,
-                    Err(f) if f.is_hang() => TestClass::Hang,
-                    Err(f) if f.is_abort() => TestClass::Abort,
-                    Err(_) => TestClass::Crash,
-                };
-                report.record(name, class);
+                report.record(name, prepared.run_test(libc, name, &args).class);
             }
         }
     }

@@ -37,6 +37,6 @@ pub mod toctou;
 pub use bitflip::run_bitflip;
 pub use fingerprint::derive_seed;
 pub use report::{BallistaReport, FunctionOutcomes, TestClass};
-pub use runner::{Ballista, FunctionRun, Mode, ParseModeError, PreparedMode};
+pub use runner::{Ballista, FunctionRun, Mode, ParseModeError, PreparedMode, TestRun};
 pub use targets::{ballista_targets, NEVER_CRASHING};
 pub use toctou::{run_toctou_scenarios, RaceOutcome, ToctouReport, ToctouRow};

@@ -216,7 +216,7 @@ impl Ballista {
             }
             config
         };
-        let mut wrapper = match mode {
+        let wrapper = match mode {
             Mode::Unwrapped => None,
             Mode::FullAuto => Some(
                 WrapperBuilder::new()
@@ -232,17 +232,7 @@ impl Ballista {
                     .build(),
             ),
         };
-
-        let mut world = World::new();
-        world.proc.set_fuel_budget(BALLISTA_FUEL);
-        let pools = prepare(libc, &mut wrapper, &mut world);
-        PreparedMode {
-            label: mode.label(),
-            wrapper,
-            world,
-            pools,
-            containment: self.containment,
-        }
+        PreparedMode::new(libc, mode.label(), wrapper, self.containment)
     }
 
     /// Evaluate one function against a prepared configuration, drawing
@@ -274,7 +264,7 @@ impl Ballista {
 
     /// Evaluate one function and return everything the run produced:
     /// the classified outcomes, the wrapper statistics accumulated
-    /// across every per-test wrapper clone, and the copy-on-write cost
+    /// across every per-test wrapper child, and the copy-on-write cost
     /// of containing the tests.
     ///
     /// Each test runs against a fresh snapshot whose wrapper stats and
@@ -292,11 +282,7 @@ impl Ballista {
         name: &str,
         rng: &mut StdRng,
     ) -> FunctionRun {
-        let func = libc
-            .get(name)
-            .unwrap_or_else(|| panic!("{name} not exported"));
-        let kinds: Vec<ParamKind> = func.proto.params.iter().map(param_kind).collect();
-        let vectors = generate_vectors(&prepared.pools, &kinds, self.cap_per_function, rng);
+        let vectors = self.test_vectors(libc, prepared, name, rng);
         // Live-progress counter for the observability plane: one
         // relaxed add per function run, never per test vector.
         healers_trace::metrics::global()
@@ -307,19 +293,10 @@ impl Ballista {
         let classes = vectors
             .iter()
             .map(|vector| {
-                let outcome = execute(
-                    libc,
-                    &prepared.wrapper,
-                    &prepared.world,
-                    prepared.containment,
-                    name,
-                    vector,
-                );
-                if let Some(test_stats) = outcome.stats {
-                    stats.absorb(&test_stats);
-                }
-                cow.absorb(&outcome.cow);
-                outcome.class
+                let test = prepared.run_test(libc, name, vector);
+                stats.absorb(&test.stats);
+                cow.absorb(&test.cow);
+                test.class
             })
             .collect();
         FunctionRun {
@@ -328,6 +305,23 @@ impl Ballista {
             cow,
         }
     }
+
+    /// The test vectors of one function, in generation order, drawing
+    /// sampling decisions from `rng` exactly as
+    /// [`Ballista::run_function`] does.
+    pub fn test_vectors(
+        &self,
+        libc: &Libc,
+        prepared: &PreparedMode,
+        name: &str,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<SimValue>> {
+        let func = libc
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} not exported"));
+        let kinds: Vec<ParamKind> = func.proto.params.iter().map(param_kind).collect();
+        generate_vectors(&prepared.pools, &kinds, self.cap_per_function, rng)
+    }
 }
 
 /// Everything one [`Ballista::run_function_full`] invocation produced.
@@ -335,7 +329,7 @@ impl Ballista {
 pub struct FunctionRun {
     /// The classified outcome of every test vector, in generation order.
     pub classes: Vec<TestClass>,
-    /// Wrapper statistics summed over all per-test wrapper clones
+    /// Wrapper statistics summed over all per-test wrapper children
     /// (including tests whose call crashed — the checks still ran).
     pub stats: WrapperStats,
     /// Copy-on-write containment cost summed over all test snapshots.
@@ -345,19 +339,99 @@ pub struct FunctionRun {
 
 /// The immutable per-mode evaluation context built by
 /// [`Ballista::prepare_mode`]: the (optional) wrapper, the world every
-/// test clones, and the typed test-value pools.
+/// test is contained in, and the typed test-value pools.
 pub struct PreparedMode {
     label: &'static str,
     wrapper: Option<RobustnessWrapper>,
     world: World,
-    pools: Pools,
+    pub(crate) pools: Pools,
     containment: Containment,
 }
 
+/// One contained test: its classification, the child wrapper's stats
+/// (all zero when unwrapped) and the CoW cost of its snapshot.
+#[derive(Debug, Clone)]
+pub struct TestRun {
+    /// How the call ended.
+    pub class: TestClass,
+    /// What the child wrapper counted — exactly this test's checks.
+    pub stats: WrapperStats,
+    /// Copy-on-write work attributable to the test's snapshot.
+    pub cow: CowStats,
+}
+
 impl PreparedMode {
+    /// Build the world the tests run in — Ballista's fuel budget and
+    /// the pools' streams, buffers and handles, created through
+    /// `wrapper` when there is one so its tables track them.
+    pub(crate) fn new(
+        libc: &Libc,
+        label: &'static str,
+        mut wrapper: Option<RobustnessWrapper>,
+        containment: Containment,
+    ) -> PreparedMode {
+        let mut world = World::new();
+        world.proc.set_fuel_budget(BALLISTA_FUEL);
+        let pools = prepare(libc, &mut wrapper, &mut world);
+        PreparedMode {
+            label,
+            wrapper,
+            world,
+            pools,
+            containment,
+        }
+    }
+
     /// The human-readable configuration label (Figure 6 bar name).
     pub fn label(&self) -> &'static str {
         self.label
+    }
+
+    /// The parent world every test is contained in.
+    pub fn world(&self) -> &World {
+        &self.world
+    }
+
+    /// The parent wrapper (`None` for [`Mode::Unwrapped`]).
+    pub fn wrapper(&self) -> Option<&RobustnessWrapper> {
+        self.wrapper.as_ref()
+    }
+
+    /// Execute one test the way paper §4 runs it in a forked child: on
+    /// a snapshot of the prepared world (or its deep-clone reference)
+    /// and a [`RobustnessWrapper::child`] of the wrapper, which shares
+    /// the compiled program and starts with empty stats. Rolling back
+    /// is dropping the child — the parent world and wrapper are never
+    /// touched.
+    pub fn run_test(&self, libc: &Libc, name: &str, args: &[SimValue]) -> TestRun {
+        let world = &self.world;
+        let mut child = match self.containment {
+            Containment::Cow => world.snapshot(),
+            Containment::DeepClone => world.deep_clone(),
+        };
+        child.proc.set_errno(0);
+        let (result, stats) = match &self.wrapper {
+            Some(w) => {
+                let mut w = w.child();
+                let result = w.call(libc, &mut child, name, args);
+                (result, w.stats)
+            }
+            None => (libc.call(&mut child, name, args), WrapperStats::default()),
+        };
+        let class = match result {
+            Ok(_) => {
+                if child.proc.errno() != 0 {
+                    TestClass::ErrnoSet
+                } else {
+                    TestClass::Silent
+                }
+            }
+            Err(SimFault::FuelExhausted) => TestClass::Hang,
+            Err(SimFault::Abort { .. }) => TestClass::Abort,
+            Err(_) => TestClass::Crash,
+        };
+        let cow = rollback(world, child);
+        TestRun { class, stats, cow }
     }
 }
 
@@ -409,57 +483,6 @@ fn generate_vectors(
         }
         indices.into_iter().filter_map(&mut vector_at).collect()
     }
-}
-
-/// One executed test: its classification, the per-test wrapper stats,
-/// and the CoW cost of its containment snapshot.
-struct TestOutcome {
-    class: TestClass,
-    stats: Option<WrapperStats>,
-    cow: CowStats,
-}
-
-/// Execute one test in a sandboxed snapshot of the prepared world (and
-/// a clone of the wrapper), classify the outcome, and surface the
-/// snapshot's wrapper stats (reset before the call, so they cover
-/// exactly this test) plus the CoW pages it dirtied. Rolling back is
-/// dropping the snapshot — the parent world is never touched.
-fn execute(
-    libc: &Libc,
-    wrapper: &Option<RobustnessWrapper>,
-    world: &World,
-    containment: Containment,
-    name: &str,
-    args: &[SimValue],
-) -> TestOutcome {
-    let mut child = match containment {
-        Containment::Cow => world.snapshot(),
-        Containment::DeepClone => world.deep_clone(),
-    };
-    child.proc.set_errno(0);
-    let (result, stats) = match wrapper {
-        Some(w) => {
-            let mut w = w.clone();
-            w.reset_stats();
-            let result = w.call(libc, &mut child, name, args);
-            (result, Some(w.stats))
-        }
-        None => (libc.call(&mut child, name, args), None),
-    };
-    let class = match result {
-        Ok(_) => {
-            if child.proc.errno() != 0 {
-                TestClass::ErrnoSet
-            } else {
-                TestClass::Silent
-            }
-        }
-        Err(SimFault::FuelExhausted) => TestClass::Hang,
-        Err(SimFault::Abort { .. }) => TestClass::Abort,
-        Err(_) => TestClass::Crash,
-    };
-    let cow = rollback(world, child);
-    TestOutcome { class, stats, cow }
 }
 
 #[cfg(test)]

@@ -600,21 +600,23 @@ impl WrapperBuilder {
         }
 
         RobustnessWrapper {
-            decls: Arc::new(decl_map),
-            plans: Arc::new(plans),
-            index: Arc::new(index),
-            entries: Arc::new(entries),
-            caps,
-            config,
+            program: Arc::new(Program {
+                decls: decl_map,
+                plans,
+                index,
+                entries,
+                config,
+                caps,
+                m_calls: metrics::global().counter("wrapper_calls_total"),
+                m_violations: metrics::global().counter("wrapper_violations_total"),
+                m_repairs: metrics::global().counter("wrapper_repairs_total"),
+            }),
             tables: Tables::default(),
             check_cache: ValidityCache::default(),
             generation: 0,
             in_flag: false,
             stats: WrapperStats::default(),
             log: Vec::new(),
-            m_calls: metrics::global().counter("wrapper_calls_total"),
-            m_violations: metrics::global().counter("wrapper_violations_total"),
-            m_repairs: metrics::global().counter("wrapper_repairs_total"),
         }
     }
 }
@@ -733,30 +735,47 @@ struct FnEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FnId(u32);
 
-/// The generated robustness wrapper: a drop-in layer over [`Libc`].
-///
-/// The compiled program — declarations, plans, assertions and the
-/// dispatch entries — is immutable after [`WrapperBuilder::build`] and
-/// shared behind `Arc`, so a `clone()` (one per Ballista test vector)
-/// copies only the per-run state: tracking tables, validity cache,
-/// stats and violation log.
-#[derive(Debug, Clone)]
-pub struct RobustnessWrapper {
-    decls: Arc<BTreeMap<String, FunctionDecl>>,
+/// The compiled program a [`RobustnessWrapper`] runs: declarations,
+/// claim lists, the dispatch index and entries, the configuration and
+/// the metric handles. [`WrapperBuilder::build`] makes it once; every
+/// wrapper cloned or forked from that one shares it behind one `Arc`.
+#[derive(Debug)]
+struct Program {
+    decls: BTreeMap<String, FunctionDecl>,
     /// Per-function claim lists: the checkable supertype of each
     /// argument's robust type (`None` = no check) — the source the
     /// compiled programs are built from, kept for diagnostics
     /// ([`RobustnessWrapper::plan`]) and wrapper emission.
-    plans: Arc<BTreeMap<String, Vec<Option<TypeExpr>>>>,
+    plans: BTreeMap<String, Vec<Option<TypeExpr>>>,
     /// Hoisted dispatch: name → [`FnEntry`] slot. One lookup per call
     /// answers wrapped/safe/tracked/unknown at once.
-    index: Arc<BTreeMap<String, usize>>,
+    index: BTreeMap<String, usize>,
     /// Per-function compiled programs and call-path metadata.
-    entries: Arc<Vec<FnEntry>>,
+    entries: Vec<FnEntry>,
     config: WrapperConfig,
     /// Capability snapshot of the config (plan-build capabilities ==
     /// check-evaluation capabilities).
     caps: CheckCapabilities,
+    /// Process-global metric handles, resolved once at build time so
+    /// the per-call cost on the hot path is one relaxed `fetch_add`
+    /// each — the registry lock is never taken per call.
+    m_calls: Arc<Counter>,
+    m_violations: Arc<Counter>,
+    m_repairs: Arc<Counter>,
+}
+
+/// The generated robustness wrapper: a drop-in layer over [`Libc`].
+///
+/// A wrapper is one shared, immutable program — declarations,
+/// compiled plans, dispatch entries and the build configuration,
+/// fixed at [`WrapperBuilder::build`] — plus its per-run state:
+/// tracking tables, validity cache, recursion flag, stats and
+/// violation log. `clone()` copies the per-run state and shares the
+/// program; [`RobustnessWrapper::child`] is the contained copy one
+/// Ballista test runs on.
+#[derive(Debug, Clone)]
+pub struct RobustnessWrapper {
+    program: Arc<Program>,
     tables: Tables,
     /// Cached successful pointer checks: (pointer, type) → the table
     /// generation it was validated under.
@@ -769,42 +788,36 @@ pub struct RobustnessWrapper {
     /// Counters and timings.
     pub stats: WrapperStats,
     log: Vec<Violation>,
-    /// Process-global metric handles, resolved once at build time so
-    /// the per-call cost on the hot path is one relaxed `fetch_add`
-    /// each — the registry lock is never taken per call.
-    m_calls: Arc<Counter>,
-    m_violations: Arc<Counter>,
-    m_repairs: Arc<Counter>,
 }
 
 impl RobustnessWrapper {
     /// The declaration for `name`, if the wrapper knows it.
     pub fn decl(&self, name: &str) -> Option<&FunctionDecl> {
-        self.decls.get(name)
+        self.program.decls.get(name)
     }
 
     /// The active check plan for `name` (diagnostics).
     pub fn plan(&self, name: &str) -> Option<&[Option<TypeExpr>]> {
-        self.plans.get(name).map(|p| p.as_slice())
+        self.program.plans.get(name).map(|p| p.as_slice())
     }
 
     /// Resolve a function name to its hot-path [`FnId`] — the one-time
     /// dispatch lookup. `None` means the wrapper knows nothing about
     /// the name (no declaration and no tracking role).
     pub fn resolve(&self, name: &str) -> Option<FnId> {
-        self.index.get(name).map(|&i| FnId(i as u32))
+        self.program.index.get(name).map(|&i| FnId(i as u32))
     }
 
     /// Whether the resolved function's calls are checked (a claim plan
     /// or executable assertions exist).
     pub fn is_checked(&self, id: FnId) -> bool {
-        self.entries[id.0 as usize].wrapped
+        self.program.entries[id.0 as usize].wrapped
     }
 
     /// Whether the resolved function carries a declaration (as opposed
     /// to being known only through its tracking role).
     pub fn has_decl(&self, id: FnId) -> bool {
-        self.entries[id.0 as usize].has_decl
+        self.program.entries[id.0 as usize].has_decl
     }
 
     /// The resolved function's compiled typed-claim ops, or `None` if
@@ -812,13 +825,16 @@ impl RobustnessWrapper {
     /// are excluded — they relate multiple arguments of a concrete
     /// call, which a stateless validator cannot judge.
     pub fn claim_ops(&self, id: FnId) -> Option<&[CheckOp]> {
-        let e = &self.entries[id.0 as usize];
+        let e = &self.program.entries[id.0 as usize];
         e.has_plan.then(|| e.plan.claim_ops())
     }
 
     /// The full compiled program for `name` (diagnostics and benches).
     pub fn compiled_plan(&self, name: &str) -> Option<&CompiledPlan> {
-        self.index.get(name).map(|&i| &self.entries[i].plan)
+        self.program
+            .index
+            .get(name)
+            .map(|&i| &self.program.entries[i].plan)
     }
 
     /// Live validity-cache entries (diagnostics; bounded-growth tests).
@@ -836,6 +852,22 @@ impl RobustnessWrapper {
         self.stats = WrapperStats::default();
     }
 
+    /// The contained copy one test runs on, as a forked child is: it
+    /// shares the program, inherits the tracking tables, validity cache
+    /// and generation, and starts with empty stats and an empty
+    /// violation log, so both report only the child's own run.
+    pub fn child(&self) -> RobustnessWrapper {
+        RobustnessWrapper {
+            program: Arc::clone(&self.program),
+            tables: self.tables.clone(),
+            check_cache: self.check_cache.clone(),
+            generation: self.generation,
+            in_flag: self.in_flag,
+            stats: WrapperStats::default(),
+            log: Vec::new(),
+        }
+    }
+
     fn violation(
         &mut self,
         world: &mut World,
@@ -843,10 +875,10 @@ impl RobustnessWrapper {
         failure: &CheckFailure,
     ) -> Result<(SimValue, Verdict), SimFault> {
         let check = self.check_text(idx, failure);
-        let name = self.entries[idx].name.as_str();
+        let name = self.program.entries[idx].name.as_str();
         let arg = failure.arg;
         self.stats.violations += 1;
-        self.m_violations.inc();
+        self.program.m_violations.inc();
         // Violations are rare by construction (the hot path is the
         // admit side), so the flight recorder can afford a formatted
         // detail string here.
@@ -855,7 +887,7 @@ impl RobustnessWrapper {
             name,
             &format!("argument {arg} failed {check}"),
         );
-        if self.config.log_violations {
+        if self.program.config.log_violations {
             self.log.push(Violation {
                 function: name.to_string(),
                 arg,
@@ -864,14 +896,14 @@ impl RobustnessWrapper {
             });
         }
         self.in_flag = false;
-        match self.config.action {
+        match self.program.config.action {
             ViolationAction::Abort => Err(SimFault::Abort {
                 reason: format!("healers: {name} argument {arg} failed {check}"),
             }),
             // Repair lands here only when the failure had no safe
             // substitute — the documented fallback to the error return.
             ViolationAction::ReturnError | ViolationAction::Repair => {
-                let (errno, error_value) = self.entries[idx].on_error;
+                let (errno, error_value) = self.program.entries[idx].on_error;
                 world.proc.set_errno(errno);
                 let value = error_value.unwrap_or(SimValue::Void);
                 Ok((
@@ -961,7 +993,7 @@ impl RobustnessWrapper {
         args: &'a [SimValue],
     ) -> PendingCall<'a> {
         self.stats.calls += 1;
-        self.m_calls.inc();
+        self.program.m_calls.inc();
         let func = libc
             .get(name)
             .unwrap_or_else(|| panic!("undefined symbol: {name}"));
@@ -982,10 +1014,10 @@ impl RobustnessWrapper {
         // and error-return data resolve in one probe. A miss means the
         // wrapper knows nothing about the function — straight through
         // (tracked functions are always in the index).
-        let Some(&idx) = self.index.get(name) else {
+        let Some(&idx) = self.program.index.get(name) else {
             return pending(0, PendingPhase::Bare);
         };
-        if !self.entries[idx].wrapped {
+        if !self.program.entries[idx].wrapped {
             // Unwrapped (safe or disabled): call through at finish, but
             // keep the tracking tables current — the cost §5.2 points
             // out.
@@ -994,7 +1026,7 @@ impl RobustnessWrapper {
 
         self.stats.wrapped_calls += 1;
         self.in_flag = true;
-        let check_started = self.config.measure.then(Instant::now);
+        let check_started = self.program.config.measure.then(Instant::now);
         let verdict = self.run_compiled(world, idx, args);
         if let Some(s) = check_started {
             self.stats.time_checking += s.elapsed();
@@ -1051,7 +1083,7 @@ impl RobustnessWrapper {
             PendingPhase::Passthrough => {
                 world.proc.reset_fuel();
                 let result = func.invoke(world, &args);
-                self.post_track(world, self.entries[idx].track, &args, &result);
+                self.post_track(world, self.program.entries[idx].track, &args, &result);
                 return result.map(|v| (v, Verdict::Pass));
             }
             PendingPhase::Refused { failure } => return self.violation(world, idx, &failure),
@@ -1059,7 +1091,7 @@ impl RobustnessWrapper {
         };
         if preempted {
             self.stats.preempted_calls += 1;
-            if self.config.revalidate_on_preempt {
+            if self.program.config.revalidate_on_preempt {
                 // The world may have changed under the admitted
                 // arguments; check again before trusting them.
                 self.stats.window_rechecks += 1;
@@ -1088,7 +1120,7 @@ impl RobustnessWrapper {
         // The call itself.
         self.in_flag = true;
         world.proc.reset_fuel();
-        let lib_started = self.config.measure.then(Instant::now);
+        let lib_started = self.program.config.measure.then(Instant::now);
         let result = func.invoke(world, &args);
         if let Some(s) = lib_started {
             self.stats.time_in_library += s.elapsed();
@@ -1096,7 +1128,7 @@ impl RobustnessWrapper {
 
         // Postfix.
         self.in_flag = false;
-        self.post_track(world, self.entries[idx].track, &args, &result);
+        self.post_track(world, self.program.entries[idx].track, &args, &result);
         let verdict = if fixes.is_empty() {
             Verdict::Pass
         } else {
@@ -1120,8 +1152,8 @@ impl RobustnessWrapper {
     pub fn precheck(&mut self, world: &World, id: FnId, args: &[SimValue]) -> bool {
         let idx = id.0 as usize;
         self.stats.calls += 1;
-        self.m_calls.inc();
-        if !self.entries[idx].wrapped {
+        self.program.m_calls.inc();
+        if !self.program.entries[idx].wrapped {
             return true;
         }
         self.stats.wrapped_calls += 1;
@@ -1129,7 +1161,7 @@ impl RobustnessWrapper {
         let admitted = self.run_compiled(world, idx, args).is_ok();
         if !admitted {
             self.stats.violations += 1;
-            self.m_violations.inc();
+            self.program.m_violations.inc();
         }
         if let Some(s) = started {
             metrics::global().record_timing("wrapper_precheck_ns", s.elapsed().as_nanos() as u64);
@@ -1140,7 +1172,7 @@ impl RobustnessWrapper {
     /// The failed check of entry `idx`, in type notation or as an
     /// assertion description.
     fn check_text(&self, idx: usize, failure: &CheckFailure) -> String {
-        self.entries[idx].plan.ops()[failure.op].describe()
+        self.program.entries[idx].plan.ops()[failure.op].describe()
     }
 
     /// Execute entry `idx`'s compiled program. `Err` carries the first
@@ -1151,10 +1183,10 @@ impl RobustnessWrapper {
         idx: usize,
         args: &[SimValue],
     ) -> Result<(), CheckFailure> {
-        // Field-disjoint borrows: `ops` pins `self.entries` while the
+        // Field-disjoint borrows: `ops` pins `self.program.entries` while the
         // loop mutates `self.stats`/`self.check_cache` and reads
-        // `self.tables`/`self.caps`.
-        let ops: &[CheckOp] = self.entries[idx].plan.ops();
+        // `self.tables`/`self.program.caps`.
+        let ops: &[CheckOp] = self.program.entries[idx].plan.ops();
         for (opno, op) in ops.iter().enumerate() {
             self.stats.checks += 1;
             let value = args.get(op.arg as usize).copied().unwrap_or(SimValue::Void);
@@ -1173,7 +1205,7 @@ impl RobustnessWrapper {
                 let ok = eval_op(
                     world,
                     &self.tables,
-                    &self.caps,
+                    &self.program.caps,
                     args,
                     op,
                     &mut self.stats.check_kinds,
@@ -1195,7 +1227,7 @@ impl RobustnessWrapper {
                 let ok = eval_op(
                     world,
                     &self.tables,
-                    &self.caps,
+                    &self.program.caps,
                     args,
                     op,
                     &mut self.stats.check_kinds,
@@ -1255,10 +1287,10 @@ impl RobustnessWrapper {
         args: &[SimValue],
         first: CheckFailure,
     ) -> Result<(Vec<SimValue>, Vec<Repair>), CheckFailure> {
-        if self.config.action != ViolationAction::Repair {
+        if self.program.config.action != ViolationAction::Repair {
             return Err(first);
         }
-        let name = self.entries[idx].name.clone();
+        let name = self.program.entries[idx].name.clone();
         let mut repaired = args.to_vec();
         let mut fixes = Vec::new();
         let mut failure = first;
@@ -1267,7 +1299,7 @@ impl RobustnessWrapper {
                 return Err(failure);
             };
             self.stats.repairs += 1;
-            self.m_repairs.inc();
+            self.program.m_repairs.inc();
             self.stats.check_outcomes.record_repair(failure.kind);
             flight().record(
                 "check-repair",
@@ -1297,7 +1329,11 @@ impl RobustnessWrapper {
         args: &mut Vec<SimValue>,
         failure: &CheckFailure,
     ) -> Option<Repair> {
-        let op = self.entries[idx].plan.ops().get(failure.op)?.clone();
+        let op = self.program.entries[idx]
+            .plan
+            .ops()
+            .get(failure.op)?
+            .clone();
         let arg = failure.arg;
         let value = args.get(arg).copied().unwrap_or(SimValue::Void);
         let (target, after): (usize, SimValue) = match op.action {

@@ -20,21 +20,21 @@ impl RobustnessWrapper {
         idx: usize,
         args: &[SimValue],
     ) -> Result<(), (CheckFailure, String)> {
-        let name: &str = &self.entries[idx].name;
-        let caps = self.caps;
+        let name: &str = &self.program.entries[idx].name;
+        let caps = self.program.caps;
         // Running op index, kept in lockstep with the compiled program:
         // claims in argument order, then the format op, then assertions.
         let mut opno = 0usize;
 
         // Prefix: robust-type checks.
-        if let Some(plan) = self.plans.get(name) {
+        if let Some(plan) = self.program.plans.get(name) {
             for (i, check) in plan.iter().enumerate() {
                 let Some(t) = check else { continue };
                 self.stats.checks += 1;
                 let value = args.get(i).copied().unwrap_or(SimValue::Void);
                 let cache_key = (value.as_ptr(), *t);
                 let cacheable =
-                    self.config.check_cache && matches!(value, SimValue::Ptr(p) if p != 0);
+                    self.program.config.check_cache && matches!(value, SimValue::Ptr(p) if p != 0);
                 if cacheable && self.check_cache.get(&cache_key) == Some(&self.generation) {
                     self.stats.check_cache_hits += 1;
                     self.stats.check_outcomes.record(CheckKind::of(*t), true);
@@ -72,7 +72,7 @@ impl RobustnessWrapper {
         // Prefix: printf-family format directive scan. Gated exactly
         // like the compiled build: only functions with a robust-type
         // plan get a format op.
-        if self.plans.contains_key(name) {
+        if self.program.plans.contains_key(name) {
             if let Some((fmt_arg, varargs_from)) = format_spec(name) {
                 self.stats.checks += 1;
                 let ok = check_format(
@@ -102,6 +102,7 @@ impl RobustnessWrapper {
 
         // Prefix: executable assertions.
         let asserts: Vec<&SizeAssertion> = self
+            .program
             .config
             .assertions
             .iter()
@@ -285,7 +286,11 @@ mod tests {
                     let mut oracle = w.clone();
                     let hits_before = w.stats.check_cache_hits;
                     let got = w.run_compiled(&world, idx, args).map_err(|f| {
-                        let text = w.entries[idx].plan.ops().get(f.op).map(CheckOp::describe);
+                        let text = w.program.entries[idx]
+                            .plan
+                            .ops()
+                            .get(f.op)
+                            .map(CheckOp::describe);
                         (f, text)
                     });
                     let want = oracle

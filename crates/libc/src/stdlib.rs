@@ -1,5 +1,7 @@
 //! `stdlib.h`: conversions, the allocator interface, and the environment.
 
+use std::sync::Arc;
+
 use healers_os::errno::{EINVAL, ENOMEM, ERANGE};
 use healers_simproc::{Addr, SimFault, SimValue};
 
@@ -292,7 +294,7 @@ fn setenv(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     }
     let val = w.read_cstr_lossy(value)?;
     if overwrite || !w.env.contains_key(&key) {
-        w.env.insert(key, val);
+        Arc::make_mut(&mut w.env).insert(key, val);
     }
     Ok(SimValue::Int(0))
 }
@@ -303,7 +305,9 @@ fn unsetenv(w: &mut World, args: &[SimValue]) -> Result<SimValue, SimFault> {
     if key.is_empty() || key.contains('=') {
         return w.fail(EINVAL, SimValue::Int(-1));
     }
-    w.env.remove(&key);
+    if w.env.contains_key(&key) {
+        Arc::make_mut(&mut w.env).remove(&key);
+    }
     Ok(SimValue::Int(0))
 }
 

@@ -2,6 +2,7 @@
 //! state.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use healers_os::Kernel;
 use healers_simproc::{Addr, CowStats, SimFault, SimProcess, SimValue, WorldSnapshot};
@@ -9,11 +10,15 @@ use healers_simproc::{Addr, CowStats, SimFault, SimProcess, SimValue, WorldSnaps
 use crate::file;
 
 /// The complete state a simulated program runs against. Cloning a `World`
-/// snapshots everything — process memory, heap metadata, kernel state —
-/// which is how calls are sandboxed for fault containment. The copy is
-/// copy-on-write throughout ([`WorldSnapshot`]): page frames, the page
-/// table, the heap block table, and filesystem contents are all
-/// reference-shared until one image writes.
+/// copies everything — process memory, heap metadata, kernel state,
+/// environment — and [`WorldSnapshot::snapshot`] is the clone calls are
+/// sandboxed in for fault containment. The copy is copy-on-write
+/// throughout, as a `fork()` is: page frames, the page table, the heap
+/// block table, the named statics, filesystem contents, the descriptor
+/// table, terminals, pipes and the environment are all reference-shared
+/// until one image writes. What is copied eagerly is a few words of
+/// cursors and counters plus the thread table, whose `errno` every
+/// contained call resets.
 #[derive(Debug, Clone)]
 pub struct World {
     /// The process image (memory, heap, errno, fuel).
@@ -21,8 +26,9 @@ pub struct World {
     /// The kernel (filesystem, descriptors, terminals, clock).
     pub kernel: Kernel,
     /// Environment variables (canonical store; string images are
-    /// materialized into static memory on demand by `getenv`).
-    pub env: BTreeMap<String, String>,
+    /// materialized into static memory on demand by `getenv`), shared
+    /// copy-on-write: write through [`Arc::make_mut`].
+    pub env: Arc<BTreeMap<String, String>>,
     /// `rand`/`srand` LCG state.
     pub rand_state: u64,
     /// Counter for `tmpfile`/`tmpnam` names.
@@ -62,7 +68,7 @@ impl World {
         World {
             proc,
             kernel,
-            env,
+            env: Arc::new(env),
             rand_state: 1,
             tmp_counter: 0,
             stdin_file,
@@ -134,16 +140,21 @@ impl Default for World {
 
 impl WorldSnapshot for World {
     fn snapshot(&self) -> Self {
-        let mut child = self.clone();
-        child.proc = self.proc.snapshot();
-        child
+        World {
+            proc: self.proc.snapshot(),
+            kernel: self.kernel.clone(),
+            env: Arc::clone(&self.env),
+            ..*self
+        }
     }
 
     fn deep_clone(&self) -> Self {
-        let mut child = self.clone();
-        child.proc = self.proc.deep_clone();
-        child.kernel = self.kernel.deep_clone();
-        child
+        World {
+            proc: self.proc.deep_clone(),
+            kernel: self.kernel.deep_clone(),
+            env: Arc::new((*self.env).clone()),
+            ..*self
+        }
     }
 
     fn cow_stats(&self) -> CowStats {
@@ -170,6 +181,7 @@ pub fn dbl_arg(args: &[SimValue], i: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use healers_os::OpenFlags;
 
     #[test]
     fn fresh_world_has_standard_streams() {
@@ -192,10 +204,107 @@ mod tests {
     fn world_clone_isolates_env() {
         let mut w = World::new();
         let mut w2 = w.clone();
-        w2.env.insert("X".into(), "1".into());
+        Arc::make_mut(&mut w2.env).insert("X".into(), "1".into());
         assert!(!w.env.contains_key("X"));
-        w.env.insert("Y".into(), "2".into());
+        Arc::make_mut(&mut w.env).insert("Y".into(), "2".into());
         assert!(!w2.env.contains_key("Y"));
+    }
+
+    // Snapshot isolation of each copy-on-write part of the kernel and
+    // process: a write in the child leaves the parent as it was, and a
+    // write in the parent leaves the child as it was.
+
+    #[test]
+    fn snapshot_isolates_env() {
+        let libc = crate::Libc::standard();
+        let mut parent = World::new();
+        let mut child = parent.snapshot();
+        let (x, one) = (child.alloc_cstr("X"), child.alloc_cstr("1"));
+        let args = [SimValue::Ptr(x), SimValue::Ptr(one), SimValue::Int(1)];
+        libc.call(&mut child, "setenv", &args).unwrap();
+        assert_eq!(child.env.get("X").map(String::as_str), Some("1"));
+        assert!(!parent.env.contains_key("X"));
+        let home = parent.alloc_cstr("HOME");
+        libc.call(&mut parent, "unsetenv", &[SimValue::Ptr(home)])
+            .unwrap();
+        assert!(!parent.env.contains_key("HOME"));
+        assert!(child.env.contains_key("HOME"));
+        // Unsetting a name that is not set copies nothing.
+        let mut grandchild = child.snapshot();
+        let missing = grandchild.alloc_cstr("NOT_SET");
+        libc.call(&mut grandchild, "unsetenv", &[SimValue::Ptr(missing)])
+            .unwrap();
+        assert!(Arc::ptr_eq(&child.env, &grandchild.env));
+    }
+
+    #[test]
+    fn snapshot_isolates_fds_and_offsets() {
+        let mut parent = World::new();
+        let hosts = parent
+            .kernel
+            .open("/etc/hosts", OpenFlags::read_only(), 0)
+            .unwrap();
+        let mut child = parent.snapshot();
+        // Child: a read moves only its own offset; open and close stay
+        // in its own table.
+        assert_eq!(child.kernel.read(hosts, 4).unwrap(), b"127.");
+        let fd = child
+            .kernel
+            .open("/tmp/c", OpenFlags::write_create(), 0o644)
+            .unwrap();
+        child.kernel.close(0).unwrap();
+        assert!(!parent.kernel.fd_is_open(fd));
+        assert!(parent.kernel.fd_is_open(0));
+        assert_eq!(parent.kernel.read(hosts, 4).unwrap(), b"127.");
+        // Parent: the reverse.
+        parent.kernel.close(1).unwrap();
+        assert_eq!(parent.kernel.dup(hosts).unwrap(), 1);
+        assert!(child.kernel.isatty(1).is_ok());
+        assert_eq!(child.kernel.read(hosts, 4).unwrap(), b"0.0.");
+    }
+
+    #[test]
+    fn snapshot_isolates_tty_input_and_output() {
+        let mut parent = World::new();
+        parent.kernel.type_input(0, b"abc");
+        let mut child = parent.snapshot();
+        assert_eq!(child.kernel.read(0, 2).unwrap(), b"ab");
+        child.kernel.write(1, b"from child").unwrap();
+        assert_eq!(parent.kernel.tty_output(0), b"");
+        assert_eq!(parent.kernel.read(0, 3).unwrap(), b"abc");
+        parent.kernel.write(1, b"from parent").unwrap();
+        parent.kernel.type_input(0, b"more");
+        assert_eq!(child.kernel.tty_output(0), b"from child");
+        assert_eq!(child.kernel.read(0, 8).unwrap(), b"c");
+    }
+
+    #[test]
+    fn snapshot_isolates_pipes() {
+        let mut parent = World::new();
+        let (r, w) = parent.kernel.pipe().unwrap();
+        parent.kernel.write(w, b"p").unwrap();
+        let mut child = parent.snapshot();
+        assert_eq!(child.kernel.read(r, 8).unwrap(), b"p");
+        child.kernel.write(w, b"c").unwrap();
+        let (r2, _) = child.kernel.pipe().unwrap();
+        assert!(!parent.kernel.fd_is_open(r2));
+        assert_eq!(parent.kernel.read(r, 8).unwrap(), b"p");
+        parent.kernel.write(w, b"q").unwrap();
+        assert_eq!(child.kernel.read(r, 8).unwrap(), b"c");
+    }
+
+    #[test]
+    fn snapshot_isolates_named_statics() {
+        let mut parent = World::new();
+        let a = parent.proc.named_static("a", 8);
+        let mut child = parent.snapshot();
+        let b = child.proc.named_static("b", 8);
+        assert_eq!(child.proc.named_static_get("a"), Some(a));
+        assert_eq!(parent.proc.named_static_get("b"), None);
+        let c = parent.proc.named_static("c", 8);
+        assert_eq!(child.proc.named_static_get("c"), None);
+        // Each image carved its static from the same cursor.
+        assert_eq!(b, c);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The syscall surface: file descriptors, I/O, directories, terminals.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::errno::{self, Errno};
 use crate::fs::{FileStat, NodeId, NodeKind, Vfs, S_IFCHR};
@@ -100,13 +101,17 @@ pub const OPEN_MAX: usize = 256;
 
 /// The simulated kernel: filesystem + descriptor table + terminals + a
 /// deterministic clock.
+///
+/// `Clone` is a `fork()`: the filesystem, the descriptor table, the
+/// terminals (with their I/O buffers) and the pipes are `Arc`-shared,
+/// and each is copied on the first write to it ([`Arc::make_mut`]).
 #[derive(Debug, Clone)]
 pub struct Kernel {
     /// The filesystem.
     pub vfs: Vfs,
-    fds: Vec<Option<OpenFile>>,
-    ttys: Vec<Tty>,
-    pipes: Vec<Pipe>,
+    fds: Arc<Vec<Option<OpenFile>>>,
+    ttys: Arc<Vec<Tty>>,
+    pipes: Arc<Vec<Pipe>>,
     umask: u32,
     clock: i64,
     pid: i32,
@@ -117,9 +122,9 @@ impl Kernel {
     pub fn new() -> Self {
         Kernel {
             vfs: Vfs::new(),
-            fds: vec![None; OPEN_MAX],
-            ttys: vec![Tty::default()],
-            pipes: Vec::new(),
+            fds: Arc::new(vec![None; OPEN_MAX]),
+            ttys: Arc::new(vec![Tty::default()]),
+            pipes: Arc::new(Vec::new()),
             umask: 0o022,
             clock: 1_000_000_000, // a fixed epoch; determinism over realism
             pid: 4242,
@@ -146,7 +151,7 @@ impl Kernel {
         )
         .unwrap();
         for fd in 0..3 {
-            k.fds[fd] = Some(OpenFile {
+            k.fds_mut()[fd] = Some(OpenFile {
                 desc: Desc::Tty(0),
                 offset: 0,
                 flags: OpenFlags::read_write(),
@@ -156,13 +161,28 @@ impl Kernel {
     }
 
     /// A copy sharing no storage with `self` — the reference deep-copy
-    /// path for world snapshots. Plain `clone()` shares the filesystem
-    /// copy-on-write; the descriptor table, terminals, and pipes are
-    /// small and always copied eagerly.
+    /// path for world snapshots. Plain `clone()` shares the filesystem,
+    /// the descriptor table, the terminals and the pipes copy-on-write.
     pub fn deep_clone(&self) -> Kernel {
-        let mut k = self.clone();
-        k.vfs = self.vfs.deep_clone();
-        k
+        Kernel {
+            vfs: self.vfs.deep_clone(),
+            fds: Arc::new(self.fds.to_vec()),
+            ttys: Arc::new(self.ttys.to_vec()),
+            pipes: Arc::new(self.pipes.to_vec()),
+            ..self.clone()
+        }
+    }
+
+    fn fds_mut(&mut self) -> &mut Vec<Option<OpenFile>> {
+        Arc::make_mut(&mut self.fds)
+    }
+
+    fn ttys_mut(&mut self) -> &mut Vec<Tty> {
+        Arc::make_mut(&mut self.ttys)
+    }
+
+    fn pipes_mut(&mut self) -> &mut Vec<Pipe> {
+        Arc::make_mut(&mut self.pipes)
     }
 
     /// The simulated wall clock (seconds).
@@ -208,7 +228,7 @@ impl Kernel {
         if fd < 0 {
             return Err(errno::EBADF);
         }
-        self.fds
+        self.fds_mut()
             .get_mut(fd as usize)
             .and_then(|e| e.as_mut())
             .ok_or(errno::EBADF)
@@ -257,7 +277,7 @@ impl Kernel {
             0
         };
         let fd = self.alloc_fd()?;
-        self.fds[fd as usize] = Some(OpenFile {
+        self.fds_mut()[fd as usize] = Some(OpenFile {
             desc: Desc::File(node),
             offset,
             flags,
@@ -273,9 +293,9 @@ impl Kernel {
     pub fn close(&mut self, fd: Fd) -> Result<(), Errno> {
         let entry = self.entry(fd)?.clone();
         if let Desc::PipeWrite(p) = entry.desc {
-            self.pipes[p].write_open = false;
+            self.pipes_mut()[p].write_open = false;
         }
-        self.fds[fd as usize] = None;
+        self.fds_mut()[fd as usize] = None;
         Ok(())
     }
 
@@ -300,12 +320,12 @@ impl Kernel {
                 Ok(data)
             }
             Desc::Tty(t) => {
-                let tty = &mut self.ttys[t];
+                let tty = &mut self.ttys_mut()[t];
                 let n = (len as usize).min(tty.input.len());
                 Ok(tty.input.drain(..n).collect())
             }
             Desc::PipeRead(p) => {
-                let pipe = &mut self.pipes[p];
+                let pipe = &mut self.pipes_mut()[p];
                 let n = (len as usize).min(pipe.buf.len());
                 Ok(pipe.buf.drain(..n).collect())
             }
@@ -332,11 +352,11 @@ impl Kernel {
                 Ok(n)
             }
             Desc::Tty(t) => {
-                self.ttys[t].output.extend_from_slice(bytes);
+                self.ttys_mut()[t].output.extend_from_slice(bytes);
                 Ok(bytes.len() as u32)
             }
             Desc::PipeWrite(p) => {
-                self.pipes[p].buf.extend(bytes.iter().copied());
+                self.pipes_mut()[p].buf.extend(bytes.iter().copied());
                 Ok(bytes.len() as u32)
             }
             Desc::PipeRead(_) => Err(errno::EBADF),
@@ -377,7 +397,7 @@ impl Kernel {
     pub fn dup(&mut self, fd: Fd) -> Result<Fd, Errno> {
         let entry = self.entry(fd)?.clone();
         let new = self.alloc_fd()?;
-        self.fds[new as usize] = Some(entry);
+        self.fds_mut()[new as usize] = Some(entry);
         Ok(new)
     }
 
@@ -391,7 +411,7 @@ impl Kernel {
         if newfd < 0 || newfd as usize >= OPEN_MAX {
             return Err(errno::EBADF);
         }
-        self.fds[newfd as usize] = Some(entry);
+        self.fds_mut()[newfd as usize] = Some(entry);
         Ok(newfd)
     }
 
@@ -402,18 +422,18 @@ impl Kernel {
     /// `EMFILE` when the descriptor table is full.
     pub fn pipe(&mut self) -> Result<(Fd, Fd), Errno> {
         let p = self.pipes.len();
-        self.pipes.push(Pipe {
+        self.pipes_mut().push(Pipe {
             buf: VecDeque::new(),
             write_open: true,
         });
         let r = self.alloc_fd()?;
-        self.fds[r as usize] = Some(OpenFile {
+        self.fds_mut()[r as usize] = Some(OpenFile {
             desc: Desc::PipeRead(p),
             offset: 0,
             flags: OpenFlags::read_only(),
         });
         let w = self.alloc_fd()?;
-        self.fds[w as usize] = Some(OpenFile {
+        self.fds_mut()[w as usize] = Some(OpenFile {
             desc: Desc::PipeWrite(p),
             offset: 0,
             flags: OpenFlags {
@@ -504,7 +524,7 @@ impl Kernel {
         }
         match self.entry(fd)?.desc {
             Desc::Tty(t) => {
-                self.ttys[t].termios = attrs;
+                self.ttys_mut()[t].termios = attrs;
                 Ok(())
             }
             _ => Err(errno::ENOTTY),
@@ -513,7 +533,7 @@ impl Kernel {
 
     /// Queue bytes as terminal input (test helper).
     pub fn type_input(&mut self, tty: usize, bytes: &[u8]) {
-        self.ttys[tty].input.extend_from_slice(bytes);
+        self.ttys_mut()[tty].input.extend_from_slice(bytes);
     }
 
     /// The bytes written to a terminal so far (test helper).

@@ -1047,20 +1047,31 @@ impl AddressSpace {
         len: u32,
         stop_at_nul: bool,
     ) -> Result<Option<u32>, BulkFault> {
-        // A chunk no longer than `dst - src` never reads a byte it
-        // writes itself, and later chunks read what earlier ones wrote
-        // — the byte loop's order, preserved under overlap.
+        // Byte `i` reads `src+i`, which for `i >= gap` is `dst+i-gap`:
+        // the byte the loop wrote `gap` steps earlier. Earlier chunks
+        // are already in memory; within a chunk longer than `gap` (its
+        // source and destination then lie on one page) the bytes from
+        // `gap` on repeat the chunk's first `gap` bytes — the byte
+        // loop's order, preserved under overlap.
         let gap = dst.wrapping_sub(src);
-        let step = if gap > 0 && gap < len { gap } else { len };
         let mut buf = [0u8; PAGE_SIZE as usize];
         let mut done = 0u32;
         while done < len {
             let (s, d) = (src.wrapping_add(done), dst.wrapping_add(done));
-            let mut n = page_room(s).min(page_room(d)).min(step).min(len - done);
+            let mut n = page_room(s).min(page_room(d)).min(len - done);
             let fail = |fault| BulkFault { index: done, fault };
             let off = page_off(s);
             let chunk = &mut buf[..n as usize];
             chunk.copy_from_slice(&self.frame(s).map_err(fail)?[off..off + n as usize]);
+            if gap > 0 && gap < n {
+                // Double the periodic prefix until it fills the chunk.
+                let mut filled = gap as usize;
+                while filled < chunk.len() {
+                    let k = filled.min(chunk.len() - filled);
+                    chunk.copy_within(..k, filled);
+                    filled += k;
+                }
+            }
             let nul = if stop_at_nul {
                 find_nul_in(chunk)
             } else {

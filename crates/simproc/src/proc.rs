@@ -3,9 +3,11 @@
 //! models hang detection.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::heap::{Heap, HeapError, HeapMode};
-use crate::mem::{AddressSpace, BulkFault, Protection, SimFault, PAGE_SIZE};
+use crate::mem::{AddressSpace, BulkFault, CowStats, Protection, SimFault, PAGE_SIZE};
+use crate::sandbox::WorldSnapshot;
 use crate::thread::{SimThread, ThreadId, ThreadState, ThreadTable};
 use crate::Addr;
 
@@ -36,7 +38,8 @@ pub const DEFAULT_FUEL: u64 = 2_000_000;
 /// A simulated process image.
 ///
 /// Cloning a `SimProcess` is copy-on-write: the page table, page frames,
-/// and heap block table are reference-shared until written. This is how
+/// the heap block table and the named statics are reference-shared
+/// until written. This is how
 /// the fault injector "spawns a child process" for each test case (§4.1)
 /// — at `fork()`'s share-until-written price, not a full copy.
 #[derive(Debug, Clone)]
@@ -55,8 +58,9 @@ pub struct SimProcess {
     fuel_budget: u64,
     /// Bump cursor for static allocations.
     static_cursor: Addr,
-    /// Named static buffers (e.g. `asctime`'s result buffer).
-    statics: BTreeMap<String, Addr>,
+    /// Named static buffers (e.g. `asctime`'s result buffer), shared
+    /// copy-on-write: a child creates one rarely and looks one up often.
+    statics: Arc<BTreeMap<String, Addr>>,
 }
 
 impl SimProcess {
@@ -73,7 +77,7 @@ impl SimProcess {
             fuel_left: DEFAULT_FUEL,
             fuel_budget: DEFAULT_FUEL,
             static_cursor: STATIC_BASE,
-            statics: BTreeMap::new(),
+            statics: Arc::new(BTreeMap::new()),
         }
     }
 
@@ -215,7 +219,7 @@ impl SimProcess {
             return a;
         }
         let a = self.static_alloc(size);
-        self.statics.insert(name.to_string(), a);
+        Arc::make_mut(&mut self.statics).insert(name.to_string(), a);
         a
     }
 
@@ -425,6 +429,36 @@ impl SimProcess {
     pub fn write_cstr(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), SimFault> {
         self.mem.write_bytes(addr, bytes)?;
         self.mem.write_u8(addr + bytes.len() as u32, 0)
+    }
+}
+
+impl WorldSnapshot for SimProcess {
+    fn snapshot(&self) -> Self {
+        SimProcess {
+            mem: self.mem.snapshot(),
+            heap: self.heap.clone(),
+            threads: self.threads.clone(),
+            fuel_left: self.fuel_left,
+            fuel_budget: self.fuel_budget,
+            static_cursor: self.static_cursor,
+            statics: Arc::clone(&self.statics),
+        }
+    }
+
+    fn deep_clone(&self) -> Self {
+        SimProcess {
+            mem: self.mem.deep_clone(),
+            heap: self.heap.deep_clone(),
+            threads: self.threads.clone(),
+            fuel_left: self.fuel_left,
+            fuel_budget: self.fuel_budget,
+            static_cursor: self.static_cursor,
+            statics: Arc::new((*self.statics).clone()),
+        }
+    }
+
+    fn cow_stats(&self) -> CowStats {
+        self.mem.cow_stats()
     }
 }
 

@@ -18,7 +18,6 @@
 //! snapshot benchmark baseline.
 
 use crate::mem::{CowStats, SimFault};
-use crate::proc::SimProcess;
 use crate::value::SimValue;
 
 /// The raw result of a sandboxed call, before robustness classification.
@@ -51,7 +50,7 @@ impl ChildResult {
 /// A world that supports cheap copy-on-write snapshots for fault
 /// containment, alongside the reference deep-copy path.
 ///
-/// Implemented by [`SimProcess`] and by `healers-libc`'s `World`; any
+/// Implemented by [`SimProcess`](crate::SimProcess) and by `healers-libc`'s `World`; any
 /// wrapper type that contains one of those can forward to it.
 pub trait WorldSnapshot: Clone {
     /// An O(1) copy-on-write snapshot of the world. Writes to either
@@ -67,25 +66,6 @@ pub trait WorldSnapshot: Clone {
     /// The cumulative copy-on-write counters of this image. A child's
     /// divergence cost is `child.cow_stats().delta_since(&parent.cow_stats())`.
     fn cow_stats(&self) -> CowStats;
-}
-
-impl WorldSnapshot for SimProcess {
-    fn snapshot(&self) -> Self {
-        let mut child = self.clone();
-        child.mem = self.mem.snapshot();
-        child
-    }
-
-    fn deep_clone(&self) -> Self {
-        let mut child = self.clone();
-        child.mem = self.mem.deep_clone();
-        child.heap = self.heap.deep_clone();
-        child
-    }
-
-    fn cow_stats(&self) -> CowStats {
-        self.mem.cow_stats()
-    }
 }
 
 /// How a contained call captures the parent image (Ballista's

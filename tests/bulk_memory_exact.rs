@@ -967,3 +967,135 @@ fn memset_across_a_protection_boundary_is_exact() {
     assert_eq!(w.proc.fuel_used(), 11);
     assert_eq!(w.proc.mem.read_bytes(start, 10).unwrap(), vec![0x41; 10]);
 }
+
+// ---------------------------------------------------------------------
+// Named regression cases: forward copies whose destination overlaps
+// their source `gap` bytes ahead. The byte loop re-reads what it wrote
+// `gap` steps earlier, so the copy repeats its first `gap` bytes.
+// ---------------------------------------------------------------------
+
+/// The gaps pinned: one byte (every read re-reads the previous write),
+/// small odd periods, and a page minus and plus one.
+const GAPS: [u32; 5] = [1, 2, 3, PAGE_SIZE - 1, PAGE_SIZE + 1];
+
+/// Read-write `NoNul` pages, then `tail` (`None` for a hole), so a
+/// long copy runs for pages and then faults.
+fn overlap_layout(rw_pages: usize, tail: Option<Protection>, content: Content, snap: u8) -> Layout {
+    let page = |prot| PageSpec {
+        prot,
+        content,
+        rewrite: false,
+    };
+    let mut pages: Vec<PageSpec> = (0..rw_pages)
+        .map(|_| page(Some(Protection::ReadWrite)))
+        .collect();
+    pages.push(page(tail));
+    pages.push(page(tail));
+    Layout {
+        pages,
+        pattern: (1..=64).collect(),
+        top: false,
+        shift: 0,
+        snap,
+    }
+}
+
+/// Run one `copy` (or `copy_until_nul`) against the byte model and
+/// compare result, memory image and copy-on-write counts; return the
+/// result.
+fn overlap_case(
+    layout: &Layout,
+    dst: u32,
+    src: u32,
+    len: u32,
+    until_nul: bool,
+) -> Result<Option<u32>, BulkFault> {
+    let (mut mem, _parent) = layout.address_space();
+    let mut model = Model::new(layout);
+    let before = mem.cow_stats();
+    let want = model.copy(dst, src, len, until_nul);
+    let got = if until_nul {
+        mem.copy_until_nul(dst, src, len)
+    } else {
+        mem.copy(dst, src, len).map(|()| None)
+    };
+    let at = format!("dst={dst:#x} src={src:#x} len={len} until_nul={until_nul}");
+    assert_eq!(got, want, "result of {at}");
+    assert_eq!(image(layout, &mem), model.image(layout), "image of {at}");
+    assert_eq!(
+        mem.cow_stats().delta_since(&before),
+        model.cow,
+        "cow of {at}"
+    );
+    got
+}
+
+/// Many pages of overlapping copy, then a hole: the copy smears its
+/// head across every page and faults where the byte loop does.
+#[test]
+fn overlapping_forward_copy_faults_partway_exactly() {
+    for gap in GAPS {
+        for snap in [0, 1] {
+            for until_nul in [false, true] {
+                let layout = overlap_layout(6, None, Content::NoNul, snap);
+                let src = layout.page_addr(0) + 100;
+                let len = 7 * PAGE_SIZE;
+                let got = overlap_case(&layout, src + gap, src, len, until_nul);
+                let stop = got.expect_err("the copy runs into the hole");
+                assert_eq!(
+                    stop.index,
+                    layout.page_addr(6) - 100 - gap - layout.page_addr(0)
+                );
+            }
+        }
+    }
+}
+
+/// The destination is write-only: the copy's stores land, and the
+/// first read of a byte it stored there faults at the byte loop's
+/// index, with everything before it copied.
+#[test]
+fn overlapping_copy_faults_reading_its_write_only_destination() {
+    for gap in GAPS {
+        for snap in [0, 1] {
+            let layout = overlap_layout(3, Some(Protection::WriteOnly), Content::NoNul, snap);
+            let src = layout.page_addr(3) - 3000;
+            let len = 5 * PAGE_SIZE;
+            let got = overlap_case(&layout, src + gap, src, len, false);
+            let stop = got.expect_err("the read of the write-only page faults");
+            assert_eq!(stop.index, 3000);
+            assert!(
+                matches!(
+                    stop.fault,
+                    SimFault::Segv {
+                        access: AccessKind::Read,
+                        ..
+                    }
+                ),
+                "{stop:?}"
+            );
+        }
+    }
+}
+
+/// `copy_until_nul` with a NUL among the first `gap` bytes stops there
+/// at once, before the period repeats.
+#[test]
+fn overlapping_copy_until_nul_stops_in_the_first_gap_bytes() {
+    for gap in GAPS {
+        for snap in [0, 1] {
+            // A NUL every 64 bytes: the pattern holds one zero.
+            let mut layout = overlap_layout(6, None, Content::Dense, snap);
+            layout.pattern[5] = 0;
+            let first_nul = (0..PAGE_SIZE as usize)
+                .find(|&j| j >= 200 && layout.byte(0, j) == 0)
+                .expect("a NUL in every 64 bytes") as u32;
+            // Put the NUL at the last of the first `gap` bytes when it
+            // fits, else within the first 64.
+            let back = (gap - 1).min(63);
+            let src = layout.page_addr(0) + first_nul - back;
+            let got = overlap_case(&layout, src + gap, src, 6 * PAGE_SIZE, true);
+            assert_eq!(got, Ok(Some(back)));
+        }
+    }
+}
