@@ -14,7 +14,7 @@
 
 use healers_core::RobustnessWrapper;
 use healers_libc::Libc;
-use healers_simproc::{Containment, SimValue};
+use healers_simproc::SimValue;
 
 use crate::pools::{param_kind, Pools};
 use crate::report::BallistaReport;
@@ -60,7 +60,7 @@ pub fn run_bitflip(
     wrapper: Option<RobustnessWrapper>,
     label: &str,
 ) -> BallistaReport {
-    let prepared = PreparedMode::new(libc, "bit-flip", wrapper, Containment::Cow);
+    let prepared = PreparedMode::new(libc, "bit-flip", wrapper);
     let mut report = BallistaReport::new(label);
     for name in functions {
         let base = baseline(libc, &prepared.pools, name);

@@ -412,26 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_clone_containment_reproduces_the_report_without_snapshots() {
-        let libc = Libc::standard();
-        let functions = ["strcpy", "abs"];
-        let cow_b = Ballista::new().with_functions(&functions).with_cap(30);
-        let deep_b = Ballista::new()
-            .with_functions(&functions)
-            .with_cap(30)
-            .with_containment(healers_simproc::Containment::DeepClone);
-        let campaign = Campaign::new(&CampaignConfig::default()).unwrap();
-        let (cow_report, cow_metrics) =
-            campaign.evaluate(&libc, &cow_b, Mode::Unwrapped, Vec::new());
-        let (deep_report, deep_metrics) =
-            campaign.evaluate(&libc, &deep_b, Mode::Unwrapped, Vec::new());
-        assert_eq!(cow_report.render(), deep_report.render());
-        assert!(cow_metrics.snapshots > 0);
-        assert_eq!(deep_metrics.snapshots, 0);
-        campaign.finish().unwrap();
-    }
-
-    #[test]
     fn report_totals_include_check_work_of_crashed_calls() {
         // Full-auto closedir: the wrapper cannot fully validate DIR
         // pointers, so its checks run and some calls still crash. The

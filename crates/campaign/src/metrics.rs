@@ -22,8 +22,8 @@ pub struct CampaignMetrics {
     pub fuel_used: u64,
     /// Ballista evaluation tests executed (0 in declarations-only mode).
     pub evaluation_tests: u64,
-    /// Copy-on-write world snapshots taken to contain sandboxed calls
-    /// (0 when the deep-clone reference containment is selected).
+    /// Copy-on-write world snapshots taken to contain sandboxed calls:
+    /// one per injected call and one per evaluation test.
     pub snapshots: u64,
     /// Pages reference-shared across those snapshots instead of copied.
     pub pages_shared: u64,

@@ -1716,6 +1716,7 @@ impl RobustnessWrapper {
 mod tests {
     use super::*;
     use crate::decl::analyze;
+    use crate::plan::action_for;
     use healers_simproc::INVALID_PTR;
 
     fn build(functions: &[&str], config: WrapperConfig) -> (Libc, RobustnessWrapper, World) {
@@ -2483,6 +2484,189 @@ mod tests {
             .iter()
             .any(|v| matches!(v, Verdict::Rejected { .. })));
         assert!(nfix > 0);
+    }
+
+    /// A call whose check of `action` fails on argument `arg` and that
+    /// runs safely once that argument is repaired: `(function, arg,
+    /// args)`. `None` for [`OpAction::Always`], which never fails. The
+    /// match has no `_` arm, so a new variant does not compile until it
+    /// is sorted here.
+    fn repair_witness(
+        world: &mut World,
+        action: &OpAction,
+    ) -> Option<(&'static str, usize, Vec<SimValue>)> {
+        let wild = SimValue::Ptr(INVALID_PTR);
+        Some(match action {
+            OpAction::Always => return None,
+            OpAction::Null => ("asctime", 0, vec![SimValue::Ptr(world.alloc_buf(64))]),
+            OpAction::Region { .. } => ("asctime", 0, vec![wild]),
+            OpAction::File { .. } => ("fclose", 0, vec![wild]),
+            OpAction::Dir { .. } => ("closedir", 0, vec![wild]),
+            OpAction::Nts { .. } => ("strlen", 0, vec![wild]),
+            OpAction::ModeValid => {
+                let path = SimValue::Ptr(world.alloc_cstr("/tmp/witness"));
+                ("fopen", 1, vec![path, SimValue::Ptr(world.alloc_cstr("x"))])
+            }
+            OpAction::Int(cond) => {
+                let bad = match cond {
+                    IntCond::Neg | IntCond::Zero | IntCond::NonPos => 1,
+                    IntCond::Pos | IntCond::NonNeg => -1,
+                };
+                let buf = SimValue::Ptr(world.alloc_buf(16));
+                (
+                    "memchr",
+                    1,
+                    vec![buf, SimValue::Int(bad), SimValue::Int(16)],
+                )
+            }
+            OpAction::FdOpen | OpAction::FdFlags { .. } => {
+                let buf = SimValue::Ptr(world.alloc_buf(8192));
+                ("read", 0, vec![SimValue::Int(999), buf, SimValue::Int(1)])
+            }
+            OpAction::Speed => {
+                let termios = SimValue::Ptr(world.alloc_buf(256));
+                ("cfsetospeed", 1, vec![termios, SimValue::Int(12345)])
+            }
+            OpAction::Assertion { .. } => {
+                // Six writable bytes before unmapped memory: too small
+                // for the copy.
+                let base: Addr = 0x2000_0000;
+                world
+                    .proc
+                    .mem
+                    .map(base, 4096, healers_simproc::Protection::ReadWrite);
+                let src = SimValue::Ptr(world.alloc_cstr("longer than six bytes"));
+                ("strcpy", 0, vec![SimValue::Ptr(base + 4090), src])
+            }
+            OpAction::Format { .. } => {
+                let dst = SimValue::Ptr(world.alloc_buf(256));
+                let fmt = SimValue::Ptr(world.alloc_cstr("%n"));
+                ("sprintf", 1, vec![dst, fmt, SimValue::Int(0)])
+            }
+        })
+    }
+
+    #[test]
+    fn repair_is_total_over_op_actions() {
+        // Serve's `WouldRepair` hint rests on every failing claim having
+        // a repair. Drive each variant's witness under repair mode: the
+        // claims through a declaration override that puts exactly that
+        // claim on the witness argument, the format scan and the size
+        // assertion through their own functions' plans.
+        use TypeExpr::*;
+        let libc = Libc::standard();
+        let claims = [
+            Null,
+            RArray(44),
+            WArray(44),
+            RwArray(44),
+            RArrayNull(44),
+            WArrayNull(44),
+            RwArrayNull(44),
+            OpenFile,
+            OpenFileNull,
+            RFile,
+            WFile,
+            OpenDir,
+            OpenDirNull,
+            Nts,
+            NtsWritable,
+            NtsNull,
+            NtsMax(16),
+            ModeShort,
+            ModeValid,
+            IntNeg,
+            IntZero,
+            IntPos,
+            IntNonNeg,
+            IntNonPos,
+            FdOpen,
+            FdReadable,
+            FdWritable,
+            SpeedValid,
+        ];
+        let unclaimed = [
+            OpAction::Format { varargs_from: 2 },
+            OpAction::Assertion {
+                terms: Box::new([]),
+                write: true,
+            },
+        ];
+        let cases = claims
+            .iter()
+            .map(|&t| (action_for(t), Some(t)))
+            .chain(unclaimed.into_iter().map(|a| (a, None)));
+        let mut driven = BTreeSet::new();
+        for (action, claim) in cases {
+            let mut world = World::new();
+            let (function, arg, args) = repair_witness(&mut world, &action).unwrap();
+            let mut overrides = crate::semi_auto_overrides();
+            if let Some(t) = claim {
+                overrides
+                    .entry(function.to_string())
+                    .or_default()
+                    .robust_args = [(arg, t)].into();
+            }
+            let mut w = WrapperBuilder::new()
+                .decls(analyze(&libc, &[function]))
+                .overrides(&overrides)
+                .config(repair(WrapperConfig::semi_auto()))
+                .build();
+            let op = w
+                .compiled_plan(function)
+                .and_then(|p| {
+                    p.ops().iter().find(|op| {
+                        op.arg as usize == arg
+                            && std::mem::discriminant(&op.action) == std::mem::discriminant(&action)
+                    })
+                })
+                .unwrap_or_else(|| panic!("{function} has no {action:?} op on argument {arg}"));
+            if claim.is_some() {
+                assert_eq!(format!("{:?}", op.action), format!("{action:?}"));
+            }
+            let kind = op.kind;
+            let (_, verdict) = w
+                .call_verdict(&libc, &mut world, function, &args)
+                .unwrap_or_else(|e| panic!("{function} faulted after repair of {action:?}: {e:?}"));
+            let Verdict::Repaired { fixes } = verdict else {
+                panic!("{action:?} on {function}: expected a repair, got {verdict:?}");
+            };
+            assert!(
+                fixes.iter().any(|f| f.kind == kind),
+                "{action:?} on {function}: no {kind:?} fix: {fixes:?}"
+            );
+            driven.insert(format!("{:?}", std::mem::discriminant(&action)));
+        }
+        // Every variant but `Always`: one per arm of `repair_witness`
+        // that returns a witness.
+        assert_eq!(driven.len(), 12);
+
+        // `Always` never fails, whatever the value.
+        let mut world = World::new();
+        assert!(repair_witness(&mut world, &OpAction::Always).is_none());
+        let always = CheckOp {
+            arg: 0,
+            kind: CheckKind::Region,
+            ty: None,
+            cacheable: false,
+            action: action_for(Unconstrained),
+        };
+        let buf = SimValue::Ptr(world.alloc_buf(8));
+        for value in [
+            SimValue::NULL,
+            SimValue::Ptr(INVALID_PTR),
+            buf,
+            SimValue::Int(-1),
+        ] {
+            assert!(eval_op(
+                &world,
+                &Tables::default(),
+                &WrapperConfig::semi_auto().caps(),
+                &[value],
+                &always,
+                &mut CheckCounters::default(),
+            ));
+        }
     }
 
     #[test]

@@ -138,21 +138,26 @@ impl Default for World {
     }
 }
 
+impl World {
+    /// A full deep copy sharing no storage with `self` — the
+    /// containment a copy-on-write snapshot replaced, kept as the
+    /// reference that differential tests compare snapshots against.
+    pub fn deep_clone(&self) -> Self {
+        World {
+            proc: self.proc.deep_clone(),
+            kernel: self.kernel.deep_clone(),
+            env: Arc::new((*self.env).clone()),
+            ..*self
+        }
+    }
+}
+
 impl WorldSnapshot for World {
     fn snapshot(&self) -> Self {
         World {
             proc: self.proc.snapshot(),
             kernel: self.kernel.clone(),
             env: Arc::clone(&self.env),
-            ..*self
-        }
-    }
-
-    fn deep_clone(&self) -> Self {
-        World {
-            proc: self.proc.deep_clone(),
-            kernel: self.kernel.deep_clone(),
-            env: Arc::new((*self.env).clone()),
             ..*self
         }
     }

@@ -28,9 +28,11 @@
 //! * [`script`] — the request-script DSL used by `healers serve exec`,
 //!   `healers serve send`, and the CI determinism diff;
 //! * [`client`] — drive a request script over any connection and
-//!   collect the raw reply stream;
-//! * [`mod@bench`] — the in-process load generator behind
-//!   `healers bench serve` and the `BENCH_serve.json` gate.
+//!   collect the raw reply stream.
+//!
+//! Load throughput and round-trip latency are measured by the
+//! repository's benchmark (`healbench --workload serve`), not by this
+//! crate.
 //!
 //! # Determinism contract
 //!
@@ -53,7 +55,6 @@
 //! are live scheduling state outside the contract. Script transcripts
 //! render only the deterministic subset.
 
-pub mod bench;
 pub mod client;
 pub mod daemon;
 pub mod frame;
@@ -62,7 +63,6 @@ pub mod plans;
 pub mod proto;
 pub mod script;
 
-pub use bench::{BenchConfig, BenchReport};
 pub use client::run_script;
 pub use daemon::{Daemon, DaemonConfig, ServeCounters, StatsHub};
 pub use frame::{FrameError, Limits, MAGIC, PROTOCOL_VERSION};

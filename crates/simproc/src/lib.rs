@@ -55,7 +55,7 @@ pub use mem::{
 };
 pub use proc::{SimProcess, HEAP_BASE, INVALID_PTR, STACK_BASE, STACK_SIZE, STATIC_BASE};
 pub use provenance::{BlockAttribution, CoverageSite, FaultSite};
-pub use sandbox::{rollback, run_in_child, ChildResult, Containment, WorldSnapshot};
+pub use sandbox::{rollback, run_in_child, ChildResult, WorldSnapshot};
 pub use sched::{Scheduler, MAX_WINDOW_BUDGET};
 pub use thread::{SimThread, ThreadId, ThreadRegs, ThreadState, ThreadTable, MAX_THREADS};
 pub use value::SimValue;

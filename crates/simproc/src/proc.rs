@@ -432,6 +432,23 @@ impl SimProcess {
     }
 }
 
+impl SimProcess {
+    /// A full deep copy sharing no storage with `self` — the
+    /// containment a copy-on-write snapshot replaced, kept as the
+    /// reference that differential tests compare snapshots against.
+    pub fn deep_clone(&self) -> Self {
+        SimProcess {
+            mem: self.mem.deep_clone(),
+            heap: self.heap.deep_clone(),
+            threads: self.threads.clone(),
+            fuel_left: self.fuel_left,
+            fuel_budget: self.fuel_budget,
+            static_cursor: self.static_cursor,
+            statics: Arc::new((*self.statics).clone()),
+        }
+    }
+}
+
 impl WorldSnapshot for SimProcess {
     fn snapshot(&self) -> Self {
         SimProcess {
@@ -442,18 +459,6 @@ impl WorldSnapshot for SimProcess {
             fuel_budget: self.fuel_budget,
             static_cursor: self.static_cursor,
             statics: Arc::clone(&self.statics),
-        }
-    }
-
-    fn deep_clone(&self) -> Self {
-        SimProcess {
-            mem: self.mem.deep_clone(),
-            heap: self.heap.deep_clone(),
-            threads: self.threads.clone(),
-            fuel_left: self.fuel_left,
-            fuel_budget: self.fuel_budget,
-            static_cursor: self.static_cursor,
-            statics: Arc::new((*self.statics).clone()),
         }
     }
 

@@ -12,10 +12,12 @@
 //! copy; so does this module. [`WorldSnapshot::snapshot`] is O(1) —
 //! page frames and tables are reference-shared and private copies fault
 //! in on first write — and discarding the child ("restore") costs only
-//! the dirty pages it actually touched. The pre-CoW behaviour survives
-//! as [`Containment::DeepClone`] / [`WorldSnapshot::deep_clone`], kept
-//! as the reference implementation for differential tests and the
-//! snapshot benchmark baseline.
+//! the dirty pages it actually touched. [`run_in_child`] + [`rollback`]
+//! is the one containment path: the injector, Ballista, the fuzzer and
+//! the TOCTOU sweep all run their calls through it. The pre-CoW deep
+//! copy survives only as inherent `deep_clone` methods (for example
+//! [`SimProcess::deep_clone`](crate::SimProcess::deep_clone)), the
+//! reference that differential tests compare snapshots against.
 
 use crate::mem::{CowStats, SimFault};
 use crate::value::SimValue;
@@ -48,7 +50,7 @@ impl ChildResult {
 }
 
 /// A world that supports cheap copy-on-write snapshots for fault
-/// containment, alongside the reference deep-copy path.
+/// containment.
 ///
 /// Implemented by [`SimProcess`](crate::SimProcess) and by `healers-libc`'s `World`; any
 /// wrapper type that contains one of those can forward to it.
@@ -58,26 +60,9 @@ pub trait WorldSnapshot: Clone {
     /// can observe the other's mutations.
     fn snapshot(&self) -> Self;
 
-    /// A full deep copy sharing no storage with `self` — the pre-CoW
-    /// containment behaviour, kept for differential testing and as the
-    /// benchmark baseline.
-    fn deep_clone(&self) -> Self;
-
     /// The cumulative copy-on-write counters of this image. A child's
     /// divergence cost is `child.cow_stats().delta_since(&parent.cow_stats())`.
     fn cow_stats(&self) -> CowStats;
-}
-
-/// How a contained call captures the parent image (Ballista's
-/// `with_containment`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Containment {
-    /// Copy-on-write snapshot: O(1) capture, O(dirty pages) divergence.
-    #[default]
-    Cow,
-    /// Full deep clone of the world per call — the pre-snapshot
-    /// behaviour, kept for differential testing and benchmarking.
-    DeepClone,
 }
 
 /// Run `call` against a copy-on-write snapshot of `world`, returning the

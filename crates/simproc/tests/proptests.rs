@@ -640,7 +640,6 @@ proptest! {
         let all_blocks: Vec<u32> = {
             // Re-derive the block list the dumps used: replay allocations
             // against a throwaway deep clone.
-            use healers_simproc::WorldSnapshot;
             let mut child = pristine.deep_clone();
             let mut blocks = seed_blocks;
             let mut obs = String::new();

@@ -25,9 +25,6 @@
 //!                                            replay a request script against a running daemon
 //! healers serve stats --socket PATH [--prom | --deterministic] [--timings] [--watch]
 //!                                            scrape a running daemon's live stats
-//! healers bench serve [--fast] [--clients N] [--workers N] [--frames N] [--batch N]
-//!                     [--json FILE] [--baseline FILE]
-//!                                            serve-daemon load bench with regression gate
 //! healers extract                            run the §3 prototype-extraction statistics
 //! healers tour <function>...                 show discovered robust argument types
 //! healers help                               this listing
@@ -81,8 +78,6 @@ fn usage() -> ExitCode {
          healers serve exec --script FILE [--workers N] [--raw-out FILE] [--cache DIR] [--repair-hints] [<function>...]\n  \
          healers serve send --socket PATH --script FILE [--raw-out FILE]\n  \
          healers serve stats --socket PATH [--prom | --deterministic] [--timings] [--watch]\n  \
-         healers bench serve [--fast] [--clients N] [--workers N] [--frames N] [--batch N]\n  \
-         \x20                  [--json FILE] [--baseline FILE]\n  \
          healers extract\n  \
          healers tour <function>...\n  \
          healers help"
@@ -130,7 +125,6 @@ fn run() -> Result<(), Error> {
         "fuzz" => cmd_fuzz(&args[1..], seed),
         "explain" => cmd_explain(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "extract" => cmd_extract(),
         "tour" => cmd_tour(&args[1..]),
         _ => Err(Error::Usage), // includes `help`: print the listing, exit 2
@@ -1265,71 +1259,6 @@ fn cmd_serve_stats(rest: &[String]) -> Result<(), Error> {
         }
         println!();
         std::thread::sleep(std::time::Duration::from_secs(1));
-    }
-}
-
-/// `healers bench serve` — the in-process load generator plus the
-/// `BENCH_serve.json` regression gate: aggregate validate throughput
-/// must clear the 1M requests/s floor and stay within 20 % of the
-/// committed baseline.
-fn cmd_bench(rest: &[String]) -> Result<(), Error> {
-    if rest.first().map(String::as_str) != Some("serve") {
-        return Err(Error::Usage);
-    }
-    let mut config = healers::serve::BenchConfig::default();
-    let mut json_out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut it = rest[1..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fast" => config = healers::serve::BenchConfig::fast(),
-            "--clients" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.clients = n,
-                _ => return Err(Error::Usage),
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.workers = n,
-                _ => return Err(Error::Usage),
-            },
-            "--frames" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.frames = n,
-                _ => return Err(Error::Usage),
-            },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.batch = n,
-                _ => return Err(Error::Usage),
-            },
-            "--json" => json_out = Some(PathBuf::from(it.next().ok_or(Error::Usage)?)),
-            "--baseline" => baseline = Some(PathBuf::from(it.next().ok_or(Error::Usage)?)),
-            _ => return Err(Error::Usage),
-        }
-    }
-
-    let functions = healers::serve::bench::BENCH_FUNCTIONS
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let plans = build_serve_plans(functions, None, 1, false)?;
-    let report = healers::serve::bench::run(plans, &config);
-    print!("{}", report.render());
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| Error::io(format!("bench serve: cannot write {}", path.display()), e))?;
-        eprintln!("json: wrote {}", path.display());
-    }
-    let baseline_doc =
-        match &baseline {
-            Some(path) => Some(std::fs::read_to_string(path).map_err(|e| {
-                Error::io(format!("bench serve: cannot read {}", path.display()), e)
-            })?),
-            None => None,
-        };
-    match report.gate(1_000_000.0, baseline_doc.as_deref()) {
-        Ok(summary) => {
-            println!("OK: {}", summary.replace('\n', "; "));
-            Ok(())
-        }
-        Err(why) => Err(Error::Msg(format!("bench serve: FAIL: {why}"))),
     }
 }
 

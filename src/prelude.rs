@@ -30,6 +30,6 @@ pub use healers_core::{
 };
 pub use healers_inject::FaultInjector;
 pub use healers_libc::{Libc, World};
-pub use healers_simproc::{run_in_child, Containment, CowStats, SimValue, WorldSnapshot};
+pub use healers_simproc::{run_in_child, CowStats, SimValue, WorldSnapshot};
 
 pub use crate::error::Error;

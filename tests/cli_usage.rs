@@ -17,7 +17,7 @@ fn healers(args: &[&str]) -> Output {
 /// below, so the listing and this test cannot silently drift apart.
 const SUBCOMMANDS: &[&str] = &[
     "analyze", "wrap", "ballista", "campaign", "report", "explain", "extract", "fuzz", "serve",
-    "bench", "tour", "help",
+    "tour", "help",
 ];
 
 /// Parse the subcommand names out of the usage listing: on each
@@ -72,16 +72,10 @@ fn fuzz_subcommand_forms_are_all_listed() {
 }
 
 #[test]
-fn serve_and_bench_subcommand_forms_are_all_listed() {
+fn serve_subcommand_forms_are_all_listed() {
     let out = healers(&[]);
     let stderr = String::from_utf8(out.stderr).unwrap();
-    for form in [
-        "serve daemon",
-        "serve exec",
-        "serve send",
-        "serve stats",
-        "bench serve",
-    ] {
+    for form in ["serve daemon", "serve exec", "serve send", "serve stats"] {
         assert!(
             stderr.contains(form),
             "usage is missing `{form}`:\n{stderr}"

@@ -1,10 +1,8 @@
-//! Pins the user-visible artifacts against the containment mechanism:
-//! switching the fault-containment engine between copy-on-write
-//! snapshots (the default) and the deep-clone reference must never
-//! change a byte of the Figure 6 rows, the Table 1 declarations, or
-//! the `healers report` body — at any worker count. The CoW engine is
-//! a pure cost optimization; these tests are the contract that it
-//! stays invisible.
+//! Pins the user-visible artifacts against the worker count: the
+//! Table 1 declarations and the `healers report` body must not change
+//! a byte between a serial and a parallel run. That the copy-on-write
+//! containment is invisible, test by test, is `INV-CONTAIN-EXACT`
+//! (`tests/containment_exact.rs`).
 
 use healers::prelude::*;
 
@@ -14,16 +12,13 @@ use healers::prelude::*;
 const SUBSET: [&str; 3] = ["strcpy", "asctime", "closedir"];
 const CAP: usize = 40;
 
-fn ballista_with(containment: Containment) -> Ballista {
-    Ballista::new()
-        .with_functions(&SUBSET)
-        .with_cap(CAP)
-        .with_containment(containment)
+fn ballista() -> Ballista {
+    Ballista::new().with_functions(&SUBSET).with_cap(CAP)
 }
 
 /// The deterministic body of `healers report`: the Figure 6 render
 /// plus the wrapper/check counter lines, exactly as `cmd_report`
-/// prints them (minus the seed header, which is containment-free by
+/// prints them (minus the seed header, which is jobs-free by
 /// construction).
 fn report_body(report: &BallistaReport, stats: &WrapperStats) -> String {
     use std::fmt::Write as _;
@@ -57,22 +52,6 @@ fn report_body(report: &BallistaReport, stats: &WrapperStats) -> String {
 }
 
 #[test]
-fn figure6_rows_are_byte_identical_with_cow_on_and_off() {
-    let libc = Libc::standard();
-    let decls = analyze(&libc, &SUBSET);
-    for mode in Mode::ALL {
-        let cow = ballista_with(Containment::Cow).run_with_decls(&libc, mode, decls.clone());
-        let deep = ballista_with(Containment::DeepClone).run_with_decls(&libc, mode, decls.clone());
-        assert_eq!(
-            cow.render(),
-            deep.render(),
-            "{} row changed with containment mechanism",
-            mode.label()
-        );
-    }
-}
-
-#[test]
 fn table1_declarations_are_byte_identical_across_jobs() {
     let libc = Libc::standard();
     // Table 1 is read off the declarations; the serial injector path
@@ -95,29 +74,23 @@ fn table1_declarations_are_byte_identical_across_jobs() {
 }
 
 #[test]
-fn report_body_is_byte_identical_with_cow_on_and_off_at_any_jobs() {
+fn report_body_is_byte_identical_at_any_jobs() {
     let libc = Libc::standard();
     let decls = analyze(&libc, &SUBSET);
     let mut bodies = Vec::new();
     for jobs in [1, 3] {
-        for containment in [Containment::Cow, Containment::DeepClone] {
-            let campaign = Campaign::new(&CampaignConfig {
-                jobs,
-                ..CampaignConfig::default()
-            })
-            .unwrap();
-            let ballista = ballista_with(containment);
-            let (report, _metrics, stats) =
-                campaign.evaluate_traced(&libc, &ballista, Mode::FullAuto, decls.clone());
-            campaign.finish().unwrap();
-            bodies.push((jobs, containment, report_body(&report, &stats)));
-        }
+        let campaign = Campaign::new(&CampaignConfig {
+            jobs,
+            ..CampaignConfig::default()
+        })
+        .unwrap();
+        let (report, _metrics, stats) =
+            campaign.evaluate_traced(&libc, &ballista(), Mode::FullAuto, decls.clone());
+        campaign.finish().unwrap();
+        bodies.push((jobs, report_body(&report, &stats)));
     }
-    let (_, _, reference) = &bodies[0];
-    for (jobs, containment, body) in &bodies {
-        assert_eq!(
-            body, reference,
-            "report body changed at jobs={jobs} containment={containment:?}"
-        );
+    let (_, reference) = &bodies[0];
+    for (jobs, body) in &bodies {
+        assert_eq!(body, reference, "report body changed at jobs={jobs}");
     }
 }
