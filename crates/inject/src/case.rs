@@ -39,6 +39,8 @@ pub struct CallRecord {
     /// Index of the argument under test (`None` for the benign baseline
     /// call of a campaign).
     pub arg_index: Option<usize>,
+    /// The injected value (the benign baseline has none: `Void`).
+    pub value: SimValue,
     /// The fundamental type of the injected value.
     pub fundamental: TypeExpr,
     /// Classified outcome.

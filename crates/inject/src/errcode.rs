@@ -120,6 +120,7 @@ mod tests {
     fn record(returned: Option<SimValue>, errno: i32) -> CallRecord {
         CallRecord {
             arg_index: Some(0),
+            value: SimValue::NULL,
             fundamental: TypeExpr::Null,
             outcome: if returned.is_some() {
                 if errno != 0 {

@@ -3,10 +3,14 @@
 //! Each generator produces a finite sequence of test cases, each tagged
 //! with a fundamental type, and contributes a candidate universe of
 //! types for robust-type selection. The fixed-size array generator is
-//! *adaptive*: it starts with a zero-byte array whose end coincides with
-//! a guard page and, whenever the function faults just past the end,
-//! grows the array and retries — "the array is iteratively enlarged
-//! until no more segmentation faults occur".
+//! *adaptive*. Its array starts at zero bytes, ends flush against a
+//! guard page, and grows while the function faults just past its end:
+//! "the array is iteratively enlarged until no more segmentation faults
+//! occur". The injector does not grow it one fault at a time. It asks
+//! [`ArrayGen`] for arrays of chosen sizes and runs a gallop-then-bisect
+//! search over them (`adaptive::search`), which ends on the size the
+//! one-fault-at-a-time walk ends on. `INV-ADAPTIVE-MIN` checks that for
+//! every export of the standard library.
 
 use healers_libc::{dirent, file, World};
 use healers_os::OpenFlags;
@@ -30,9 +34,14 @@ pub trait TestCaseGenerator {
     /// The initial test cases (values are materialized in `world`).
     fn initial_cases(&mut self, world: &mut World) -> Vec<TestCase>;
 
-    /// Cases that depend on what the initial (adaptive) cases
-    /// discovered — e.g. the read-only/write-only probes at the
-    /// discovered array size.
+    /// The adaptive array the injector sizes after the initial cases,
+    /// if this generator has one.
+    fn adaptive_array(&mut self) -> Option<&mut ArrayGen> {
+        None
+    }
+
+    /// Cases that depend on what the adaptive sizing discovered — e.g.
+    /// the read-only/write-only probes at the discovered array size.
     fn followup_cases(&mut self, _world: &mut World) -> Vec<TestCase> {
         Vec::new()
     }
@@ -40,26 +49,6 @@ pub trait TestCaseGenerator {
     /// The candidate type universe this generator contributes
     /// (instantiated at discovered sizes; call after the campaign).
     fn universe(&self) -> Vec<TypeExpr>;
-
-    /// Whether a faulting address belongs to this generator's current
-    /// test value (crash attribution, §4.1).
-    fn owns_fault(&self, _addr: Addr) -> bool {
-        false
-    }
-
-    /// Adaptive adjustment: produce a replacement test case after a
-    /// fault at `fault_addr`, or `None` if the value cannot be adjusted.
-    fn adjust(
-        &mut self,
-        _world: &mut World,
-        _case: &TestCase,
-        _fault_addr: Addr,
-    ) -> Option<TestCase> {
-        None
-    }
-
-    /// Feedback from the campaign: the final outcome of a case.
-    fn observe(&mut self, _case: &TestCase, _outcome: Outcome) {}
 }
 
 // ---------------------------------------------------------------------
@@ -68,26 +57,53 @@ pub trait TestCaseGenerator {
 
 /// The adaptive fixed-size array generator (Figure 3's hierarchy).
 pub struct ArrayGen {
-    current: Option<(Addr, u32)>,
-    adaptive_active: bool,
-    discovered: Option<u32>,
-    observed_sizes: Vec<u32>,
+    /// The size adaptive sizing ended on, and whether the call returned
+    /// there.
+    sized: Option<(u32, bool)>,
 }
 
 impl ArrayGen {
     /// A fresh array generator.
     pub fn new() -> Self {
-        ArrayGen {
-            current: None,
-            adaptive_active: false,
-            discovered: None,
-            observed_sizes: Vec::new(),
-        }
+        ArrayGen { sized: None }
     }
 
     /// The array size the adaptive phase discovered, if any.
     pub fn discovered_size(&self) -> Option<u32> {
-        self.discovered
+        match self.sized {
+            Some((size, true)) => Some(size),
+            _ => None,
+        }
+    }
+
+    /// A fresh read-write array of exactly `size` bytes, ending flush
+    /// against its guard page: the adaptive case at that size.
+    pub(crate) fn adaptive_case(&mut self, world: &mut World, size: u32) -> TestCase {
+        let base = self.alloc(world, size, Protection::ReadWrite);
+        let label = match size {
+            0 => "adaptive rw array".to_string(),
+            _ => format!("adaptive rw array grown to {size}"),
+        };
+        TestCase::new(SimValue::Ptr(base), TypeExpr::RwFixed(size), label)
+    }
+
+    /// How many bytes the array at `base` of `size` bytes must have to
+    /// cover a fault at `addr`, if the fault is in its guard page
+    /// `[base + size, base + size + PAGE_SIZE)`. A fault anywhere else
+    /// (inside the block: a protection mismatch) is not fixed by growth.
+    pub(crate) fn fault_needs(base: Addr, size: u32, addr: Addr) -> Option<u32> {
+        let end = base + size;
+        if (end..end + PAGE_SIZE).contains(&addr) {
+            Some(addr - base + 1)
+        } else {
+            None
+        }
+    }
+
+    /// Record where adaptive sizing ended: the final probe's size and
+    /// outcome.
+    pub(crate) fn settle(&mut self, size: u32, outcome: Outcome) {
+        self.sized = Some((size, outcome.returned()));
     }
 
     fn alloc(&mut self, world: &mut World, size: u32, prot: Protection) -> Addr {
@@ -114,10 +130,7 @@ impl TestCaseGenerator for ArrayGen {
         SimValue::Ptr(self.alloc(world, 4096, Protection::ReadWrite))
     }
 
-    fn initial_cases(&mut self, world: &mut World) -> Vec<TestCase> {
-        let base = self.alloc(world, 0, Protection::ReadWrite);
-        self.current = Some((base, 0));
-        self.adaptive_active = true;
+    fn initial_cases(&mut self, _world: &mut World) -> Vec<TestCase> {
         vec![
             TestCase::new(SimValue::NULL, TypeExpr::Null, "null pointer"),
             TestCase::new(
@@ -125,16 +138,15 @@ impl TestCaseGenerator for ArrayGen {
                 TypeExpr::Invalid,
                 "invalid pointer",
             ),
-            TestCase::new(
-                SimValue::Ptr(base),
-                TypeExpr::RwFixed(0),
-                "adaptive rw array",
-            ),
         ]
     }
 
+    fn adaptive_array(&mut self) -> Option<&mut ArrayGen> {
+        Some(self)
+    }
+
     fn followup_cases(&mut self, world: &mut World) -> Vec<TestCase> {
-        let Some(s) = self.discovered else {
+        let Some(s) = self.discovered_size() else {
             return Vec::new();
         };
         let mut cases = vec![
@@ -160,73 +172,15 @@ impl TestCaseGenerator for ArrayGen {
     }
 
     fn universe(&self) -> Vec<TypeExpr> {
-        // Instantiate candidates at every size the campaign observed
-        // (per-argument campaigns observe {s*, s*-1}; the cross-product
-        // campaign can observe more, one per co-argument regime).
-        let mut sizes: Vec<u32> = self.observed_sizes.clone();
-        if let Some(s) = self.discovered {
-            sizes.push(s);
-            sizes.push(s.saturating_sub(1));
-        }
-        if sizes.is_empty() {
-            sizes.push(0);
-        }
+        // Candidates at every size the campaign observed: the discovered
+        // size s* and the boundary s* - 1 of its follow-ups, or the size
+        // sizing gave up on.
+        let sizes = match self.sized {
+            Some((s, true)) => vec![s, s.saturating_sub(1)],
+            Some((s, false)) => vec![s],
+            None => vec![0],
+        };
         universe::fixed_size_arrays(&sizes)
-    }
-
-    fn owns_fault(&self, addr: Addr) -> bool {
-        match self.current {
-            Some((base, size)) => {
-                // The block itself plus its trailing guard page.
-                addr >= base.saturating_sub(0) && addr <= base + size + PAGE_SIZE
-            }
-            None => false,
-        }
-    }
-
-    fn adjust(&mut self, world: &mut World, case: &TestCase, fault_addr: Addr) -> Option<TestCase> {
-        if !self.adaptive_active {
-            return None;
-        }
-        let (base, size) = self.current?;
-        if case.value.as_ptr() != base {
-            return None;
-        }
-        // Growth only helps for faults at or past the end of the block
-        // (the guard); a fault *inside* the block is a protection
-        // mismatch that growing cannot fix.
-        if fault_addr < base + size {
-            return None;
-        }
-        let needed = fault_addr - base + 1;
-        if needed > MAX_ADAPTIVE_SIZE {
-            return None;
-        }
-        let new_base = self.alloc(world, needed, Protection::ReadWrite);
-        self.current = Some((new_base, needed));
-        Some(TestCase::new(
-            SimValue::Ptr(new_base),
-            TypeExpr::RwFixed(needed),
-            format!("adaptive rw array grown to {needed}"),
-        ))
-    }
-
-    fn observe(&mut self, case: &TestCase, outcome: Outcome) {
-        if let TypeExpr::RwFixed(s) | TypeExpr::RonlyFixed(s) | TypeExpr::WonlyFixed(s) =
-            case.fundamental
-        {
-            if !self.observed_sizes.contains(&s) {
-                self.observed_sizes.push(s);
-            }
-        }
-        if self.adaptive_active {
-            if let TypeExpr::RwFixed(s) = case.fundamental {
-                if outcome.returned() {
-                    self.discovered = Some(s);
-                }
-                self.adaptive_active = false;
-            }
-        }
     }
 }
 
@@ -923,56 +877,105 @@ mod tests {
         let mut world = World::new_guarded();
         let mut g = ArrayGen::new();
         let cases = g.initial_cases(&mut world);
-        assert_eq!(cases.len(), 3);
-        let adaptive = cases.last().unwrap();
-        assert_eq!(adaptive.fundamental, TypeExpr::RwFixed(0));
-        // Simulate a fault one byte past the end (at the base, size 0).
-        let base = adaptive.value.as_ptr();
-        assert!(g.owns_fault(base));
-        let grown = g.adjust(&mut world, adaptive, base).unwrap();
-        assert_eq!(grown.fundamental, TypeExpr::RwFixed(1));
-        // A fault 43 bytes past the new base grows to 44.
-        let grown2 = g
-            .adjust(&mut world, &grown, grown.value.as_ptr() + 43)
-            .unwrap();
-        assert_eq!(grown2.fundamental, TypeExpr::RwFixed(44));
-        // Success ends the adaptive phase.
-        g.observe(&grown2, Outcome::Success);
+        let fundamentals: Vec<_> = cases.iter().map(|c| c.fundamental).collect();
+        assert_eq!(fundamentals, [TypeExpr::Null, TypeExpr::Invalid]);
+        // A zero-byte array ends at its guard page: a fault at the base
+        // needs one byte.
+        let empty = g.adaptive_case(&mut world, 0);
+        assert_eq!(empty.fundamental, TypeExpr::RwFixed(0));
+        assert_eq!(empty.label, "adaptive rw array");
+        let base = empty.value.as_ptr();
+        assert!(world.proc.mem.read_u8(base).is_err());
+        assert_eq!(ArrayGen::fault_needs(base, 0, base), Some(1));
+        // A fault 43 bytes past the start of a one-byte array needs 44.
+        let one = g.adaptive_case(&mut world, 1);
+        let base = one.value.as_ptr();
+        assert_eq!(ArrayGen::fault_needs(base, 1, base + 43), Some(44));
+        let grown = g.adaptive_case(&mut world, 44);
+        assert_eq!(grown.fundamental, TypeExpr::RwFixed(44));
+        assert_eq!(grown.label, "adaptive rw array grown to 44");
+        let base = grown.value.as_ptr();
+        assert!(world.proc.mem.write_u8(base + 43, 1).is_ok());
+        assert!(world.proc.mem.read_u8(base + 44).is_err());
+        // A call that returns at 44 bytes ends sizing: 44 is the
+        // discovered size, and the follow-ups probe it.
+        assert!(g.followup_cases(&mut world).is_empty());
+        g.settle(44, Outcome::Success);
         assert_eq!(g.discovered_size(), Some(44));
         let followups = g.followup_cases(&mut world);
         let fundamentals: Vec<_> = followups.iter().map(|c| c.fundamental).collect();
-        assert!(fundamentals.contains(&TypeExpr::RonlyFixed(44)));
-        assert!(fundamentals.contains(&TypeExpr::WonlyFixed(44)));
-        assert!(fundamentals.contains(&TypeExpr::RwFixed(43)));
-        // Adaptive is over: no more adjustment.
-        assert!(g.adjust(&mut world, &grown2, base).is_none());
+        assert_eq!(
+            fundamentals,
+            [
+                TypeExpr::RonlyFixed(44),
+                TypeExpr::WonlyFixed(44),
+                TypeExpr::RwFixed(43)
+            ]
+        );
+        assert_eq!(g.universe(), universe::fixed_size_arrays(&[44, 43]));
     }
 
     #[test]
     fn array_gen_gives_up_on_protection_faults() {
         let mut world = World::new_guarded();
         let mut g = ArrayGen::new();
-        let cases = g.initial_cases(&mut world);
-        let adaptive = cases.last().unwrap();
-        let base = adaptive.value.as_ptr();
-        let grown = g.adjust(&mut world, adaptive, base + 7).unwrap();
-        assert_eq!(grown.fundamental, TypeExpr::RwFixed(8));
+        let case = g.adaptive_case(&mut world, 8);
         // A fault *inside* the block is not fixable by growth.
-        assert!(g
-            .adjust(&mut world, &grown, grown.value.as_ptr() + 3)
-            .is_none());
+        assert_eq!(
+            ArrayGen::fault_needs(case.value.as_ptr(), 8, case.value.as_ptr() + 3),
+            None
+        );
+        // Sizing that ends on a failure discovers nothing: no follow-ups,
+        // and candidates at the size it ended on.
+        g.settle(8, Outcome::Crash);
+        assert_eq!(g.discovered_size(), None);
+        assert!(g.followup_cases(&mut world).is_empty());
+        assert_eq!(g.universe(), universe::fixed_size_arrays(&[8]));
+        // Before any sizing the universe is instantiated at size 0.
+        assert_eq!(
+            ArrayGen::new().universe(),
+            universe::fixed_size_arrays(&[0])
+        );
     }
 
     #[test]
     fn array_gen_gives_up_past_max_size() {
+        // A call that always faults on the last byte of the guard page
+        // grows the array a page at a time until a fault needs more than
+        // MAX_ADAPTIVE_SIZE bytes, and sizing keeps that last probe.
         let mut world = World::new_guarded();
         let mut g = ArrayGen::new();
-        let cases = g.initial_cases(&mut world);
-        let adaptive = cases.last().unwrap();
-        let base = adaptive.value.as_ptr();
-        assert!(g
-            .adjust(&mut world, adaptive, base + MAX_ADAPTIVE_SIZE + 1)
-            .is_none());
+        let found = crate::adaptive::search(|n| {
+            let case = g.adaptive_case(&mut world, n);
+            let fault = case.value.as_ptr() + n + PAGE_SIZE - 1;
+            let needs = ArrayGen::fault_needs(case.value.as_ptr(), n, fault)
+                .expect("the guard page's last byte is past the end");
+            (crate::adaptive::Probe::PastEnd { needs }, case.label)
+        });
+        assert_eq!(found.size, MAX_ADAPTIVE_SIZE);
+        assert_eq!(
+            found.record,
+            format!("adaptive rw array grown to {MAX_ADAPTIVE_SIZE}")
+        );
+    }
+
+    #[test]
+    fn fault_needs_covers_exactly_the_guard_page() {
+        let (base, size) = (0x10_0000, 8);
+        // Inside the block: a protection mismatch, not fixable by growth.
+        assert_eq!(ArrayGen::fault_needs(base, size, base), None);
+        assert_eq!(ArrayGen::fault_needs(base, size, base + 7), None);
+        // The first and the last byte of the guard page.
+        assert_eq!(ArrayGen::fault_needs(base, size, base + 8), Some(9));
+        let last_guard = base + size + PAGE_SIZE - 1;
+        assert_eq!(
+            ArrayGen::fault_needs(base, size, last_guard),
+            Some(size + PAGE_SIZE)
+        );
+        // The first byte after the guard page belongs to someone else.
+        assert_eq!(ArrayGen::fault_needs(base, size, last_guard + 1), None);
+        // Below the block.
+        assert_eq!(ArrayGen::fault_needs(base, size, base - 1), None);
     }
 
     #[test]

@@ -6,9 +6,10 @@ use healers_simproc::{run_in_child, CowStats, FaultSite, SimValue, WorldSnapshot
 use healers_trace::recorder::flight;
 use healers_typesys::{robust_type, Observation, RobustType, SelectionCriterion, TypeExpr};
 
-use crate::case::{classify_child_result, CallRecord};
+use crate::adaptive::{self, Found, Probe};
+use crate::case::{classify_child_result, CallRecord, TestCase};
 use crate::errcode::{classify_error_returns, ErrCodeReport};
-use crate::generators::TestCaseGenerator;
+use crate::generators::{ArrayGen, TestCaseGenerator};
 use crate::select_gen::generator_for;
 
 /// Maximum adaptive retries for a single test case (the paper retries
@@ -53,7 +54,7 @@ pub struct InjectionReport {
     pub records: Vec<CallRecord>,
     /// Total sandboxed calls performed.
     pub calls: usize,
-    /// Total adaptive adjustments performed.
+    /// Adaptive array probes beyond the first, summed over arguments.
     pub adaptive_retries: usize,
     /// Total fuel consumed across all sandboxed calls (hang-detection
     /// budget units; see [`INJECTION_FUEL`]).
@@ -85,6 +86,15 @@ impl<'l> FaultInjector<'l> {
 
     /// Run the full campaign and compute the report.
     pub fn run(&self) -> InjectionReport {
+        self.run_sized(|probe| adaptive::search(probe))
+    }
+
+    /// The campaign, with `sizing` choosing the adaptive array sizes to
+    /// probe and the probe to record.
+    pub(crate) fn run_sized(
+        &self,
+        sizing: impl Fn(&mut dyn FnMut(u32) -> (Probe, CallRecord)) -> Found<CallRecord>,
+    ) -> InjectionReport {
         let mut world = World::new_guarded();
         world.proc.set_fuel_budget(INJECTION_FUEL);
         // The environment is part of the test surface: functions that
@@ -101,20 +111,21 @@ impl<'l> FaultInjector<'l> {
             .collect();
         let benign: Vec<SimValue> = gens.iter_mut().map(|g| g.benign(&mut world)).collect();
 
-        let mut records: Vec<CallRecord> = Vec::new();
         let mut calls = 0usize;
-        let mut adaptive_retries = 0usize;
-        // Resolved once per campaign; each fault is then one relaxed add.
-        let m_faults = healers_trace::metrics::global().counter("inject_faults_total");
-
         let mut fuel_used = 0u64;
         let mut cow = CowStats::default();
-        let mut invoke = |world: &World, args: &[SimValue]| {
+        // One contained call with `case` as argument `arg` (all benign
+        // for the baseline), and the faulting address if it segfaulted.
+        let mut invoke = |world: &World, arg: Option<usize>, case: &TestCase| {
+            let mut args = benign.clone();
+            if let Some(i) = arg {
+                args[i] = case.value;
+            }
             calls += 1;
             let (result, child) = run_in_child(world, |w: &mut World| {
                 w.proc.set_errno(0);
                 w.proc.reset_fuel();
-                func.invoke(w, args)
+                func.invoke(w, &args)
             });
             fuel_used += child.proc.fuel_used();
             let (outcome, returned, errno) = classify_child_result(&result, &child);
@@ -126,90 +137,70 @@ impl<'l> FaultInjector<'l> {
                 .fault()
                 .and_then(|f| FaultSite::resolve(f, &child.proc));
             cow.absorb(&child.cow_stats().delta_since(&world.cow_stats()));
-            (outcome, returned, errno, fault_addr, provenance)
-        };
-
-        // Baseline call with all-benign arguments (also the only call
-        // for zero-argument functions).
-        {
-            let (outcome, returned, errno, _, provenance) = invoke(&world, &benign);
-            if let Some(site) = &provenance {
-                m_faults.inc();
-                flight().record(
-                    "fault-injected",
-                    &self.name,
-                    &format!("benign baseline — {site}"),
-                );
-            }
-            records.push(CallRecord {
-                arg_index: None,
-                fundamental: TypeExpr::IntZero, // placeholder, unused for baseline
+            let record = CallRecord {
+                arg_index: arg,
+                value: case.value,
+                fundamental: case.fundamental,
                 outcome,
                 returned,
                 errno,
-                label: "benign baseline".to_string(),
+                label: case.label.clone(),
                 provenance,
-            });
-        }
+            };
+            (record, fault_addr)
+        };
 
-        // Per-argument campaigns with adaptive retry.
-        for i in 0..gens.len() {
-            let mut pending = gens[i].initial_cases(&mut world);
-            let mut ran_followups = false;
-            loop {
-                for case in std::mem::take(&mut pending) {
-                    let mut case = case;
-                    let mut retries = 0usize;
-                    loop {
-                        let mut args = benign.clone();
-                        args[i] = case.value;
-                        let (outcome, returned, errno, fault_addr, provenance) =
-                            invoke(&world, &args);
-                        if outcome.is_failure() {
-                            if let Some(addr) = fault_addr {
-                                if retries < MAX_RETRIES_PER_CASE && gens[i].owns_fault(addr) {
-                                    if let Some(adjusted) = gens[i].adjust(&mut world, &case, addr)
-                                    {
-                                        case = adjusted;
-                                        retries += 1;
-                                        adaptive_retries += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                        }
-                        gens[i].observe(&case, outcome);
-                        // Only resolved faults enter the flight
-                        // recorder — the benign majority of injected
-                        // calls would otherwise drown the ring.
-                        if let Some(site) = &provenance {
-                            m_faults.inc();
-                            flight().record(
-                                "fault-injected",
-                                &self.name,
-                                &format!("arg {i} {} — {site}", case.label),
-                            );
-                        }
-                        records.push(CallRecord {
-                            arg_index: Some(i),
-                            fundamental: case.fundamental,
-                            outcome,
-                            returned,
-                            errno,
-                            label: case.label.clone(),
-                            provenance,
-                        });
-                        break;
-                    }
-                }
-                if ran_followups {
-                    break;
-                }
-                pending = gens[i].followup_cases(&mut world);
-                ran_followups = true;
-                if pending.is_empty() {
-                    break;
-                }
+        let mut records: Vec<CallRecord> = Vec::new();
+        // Resolved once per campaign; each fault is then one relaxed add.
+        let m_faults = healers_trace::metrics::global().counter("inject_faults_total");
+        // Only the records kept — not the adaptive probes the search
+        // discards — enter the flight recorder, and only resolved
+        // faults: the benign majority of injected calls would otherwise
+        // drown the ring.
+        let mut keep = |record: CallRecord| {
+            if let Some(site) = &record.provenance {
+                m_faults.inc();
+                let what = match record.arg_index {
+                    Some(i) => format!("arg {i} {}", record.label),
+                    None => record.label.clone(),
+                };
+                flight().record("fault-injected", &self.name, &format!("{what} — {site}"));
+            }
+            records.push(record);
+        };
+
+        // Baseline call with all-benign arguments (also the only call
+        // for zero-argument functions). Its fundamental type is a
+        // placeholder, unused for the baseline.
+        let baseline = TestCase::new(SimValue::Void, TypeExpr::IntZero, "benign baseline");
+        keep(invoke(&world, None, &baseline).0);
+
+        // Per-argument campaigns: the initial cases, the adaptive array
+        // at the size the search settles on, then the cases that depend
+        // on that size.
+        let mut adaptive_retries = 0usize;
+        for (i, gen) in gens.iter_mut().enumerate() {
+            for case in gen.initial_cases(&mut world) {
+                keep(invoke(&world, Some(i), &case).0);
+            }
+            if let Some(array) = gen.adaptive_array() {
+                let found = sizing(&mut |n| {
+                    let case = array.adaptive_case(&mut world, n);
+                    let (record, fault_addr) = invoke(&world, Some(i), &case);
+                    let needs = fault_addr
+                        .and_then(|addr| ArrayGen::fault_needs(case.value.as_ptr(), n, addr));
+                    let probe = match needs {
+                        Some(needs) => Probe::PastEnd { needs },
+                        None => Probe::Stopped,
+                    };
+                    (probe, record)
+                });
+                adaptive_retries += found.probes - 1;
+                array.settle(found.size, found.record.outcome);
+                keep(found.record);
+            }
+            for case in gen.followup_cases(&mut world) {
+                keep(invoke(&world, Some(i), &case).0);
             }
         }
 
@@ -298,8 +289,9 @@ mod tests {
         assert_eq!(r.errcode.errno_value, healers_os::errno::EINVAL);
         // asctime is unsafe (it crashed for some inputs).
         assert!(!r.safe);
-        // The adaptive generator did real work.
-        assert!(r.adaptive_retries >= 44, "retries {}", r.adaptive_retries);
+        // The adaptive array was grown (the size itself is pinned by
+        // the robust type above).
+        assert!(r.adaptive_retries >= 1, "retries {}", r.adaptive_retries);
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! * the **error return code** class and `errno` convention (§3.3),
 //! * the **safe/unsafe attribute** (§3.4).
 //!
-//! Test-case generation is *adaptive*: when a call crashes, the injector
-//! asks the generators whether the faulting address belongs to one of
-//! their test values; the owning generator may adjust the value (most
-//! importantly, the fixed-size array generator grows a guard-page-backed
-//! array until the faults stop — discovering, e.g., that `asctime` needs
-//! exactly 44 readable bytes). Every call runs against a cloned process
-//! image, so a crashing call can never corrupt the injector (§4.1).
+//! Test-case generation is *adaptive*: the fixed-size array generator's
+//! guard-page-backed array is grown until the call stops faulting past
+//! its end — discovering, e.g., that `asctime` needs exactly 44 readable
+//! bytes. A gallop-then-bisect search finds that size in O(log n)
+//! calls. Every call runs against a cloned process image, so a crashing
+//! call can never corrupt the injector (§4.1).
 //!
 //! # Examples
 //!
@@ -30,6 +29,9 @@
 //! assert!(!report.safe);
 //! ```
 
+mod adaptive;
+#[cfg(test)]
+mod adaptive_min;
 pub mod case;
 pub mod errcode;
 pub mod generators;

@@ -131,11 +131,11 @@ fn closedir_robust_type_is_the_uncheckable_open_dir() {
 }
 
 /// The adaptive generator's headline: asctime needs exactly 44 bytes,
-/// discovered by growing a guard-paged array byte by byte.
+/// discovered by growing a guard-paged array until the faults stop.
 #[test]
 fn adaptive_growth_discovers_44_bytes_for_asctime() {
     let report = injector_report("asctime");
-    assert!(report.adaptive_retries >= 44);
+    assert!(report.adaptive_retries >= 1);
     assert_eq!(report.args[0].robust.robust, TypeExpr::RArrayNull(44));
     assert!(report.args[0].robust.safe);
 }
