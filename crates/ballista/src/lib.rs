@@ -13,17 +13,27 @@
 //! ([`targets`]), and a runner ([`runner`]) that executes every test in
 //! a sandboxed clone of a prepared world — unwrapped, through the fully
 //! automatic wrapper, or through the semi-automatic wrapper — and
-//! classifies the outcome on the CRASH-style scale.
+//! classifies the outcome on the CRASH-style scale. The runner
+//! evaluates one function at a time; the loop over functions, at any
+//! worker count, is `healers_campaign::Campaign::evaluate`.
 //!
 //! # Examples
 //!
 //! ```
-//! use healers_ballista::{Ballista, Mode};
+//! use healers_ballista::{derive_seed, Ballista, Mode, TestClass};
+//! use healers_libc::Libc;
+//! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let ballista = Ballista::new().with_functions(&["strcpy", "abs"]);
-//! let report = ballista.run(Mode::Unwrapped);
-//! assert!(report.function("strcpy").unwrap().crashes > 0);
-//! assert_eq!(report.function("abs").unwrap().crashes, 0);
+//! let libc = Libc::standard();
+//! let ballista = Ballista::new();
+//! let prepared = ballista.prepare_mode(&libc, Mode::Unwrapped, Vec::new());
+//! let crashes = |name: &str| {
+//!     let mut rng = StdRng::seed_from_u64(derive_seed(ballista.seed(), name));
+//!     let run = ballista.run_function_full(&libc, &prepared, name, &mut rng);
+//!     run.classes.iter().filter(|&&c| c == TestClass::Crash).count()
+//! };
+//! assert!(crashes("strcpy") > 0);
+//! assert_eq!(crashes("abs"), 0);
 //! ```
 
 pub mod bitflip;

@@ -2,7 +2,7 @@
 //! execution in three configurations (Figure 6's three bars).
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
 use healers_core::{
     analyze, FunctionDecl, RobustnessWrapper, ViolationAction, WrapperBuilder, WrapperConfig,
@@ -11,9 +11,8 @@ use healers_core::{
 use healers_libc::{Libc, World};
 use healers_simproc::{rollback, run_in_child, CowStats, SimFault, SimValue};
 
-use crate::fingerprint::derive_seed;
 use crate::pools::{param_kind, prepare, ParamKind, Pools};
-use crate::report::{BallistaReport, TestClass};
+use crate::report::TestClass;
 use crate::targets::ballista_targets;
 
 /// Fuel budget per Ballista test (hang detection).
@@ -145,39 +144,6 @@ impl Ballista {
         analyze(libc, &names)
     }
 
-    /// Run one configuration end to end.
-    pub fn run(&self, mode: Mode) -> BallistaReport {
-        let libc = Libc::standard();
-        let decls = match mode {
-            Mode::Unwrapped => Vec::new(),
-            _ => self.analyze_targets(&libc),
-        };
-        self.run_with_decls(&libc, mode, decls)
-    }
-
-    /// Run one configuration with precomputed declarations.
-    ///
-    /// Every function samples from its own RNG seeded by
-    /// [`derive_seed`]`(self.seed, name)` — the same derivation the
-    /// campaign orchestrator uses — so this serial run is bit-identical
-    /// to a parallel campaign evaluation at any worker count.
-    pub fn run_with_decls(
-        &self,
-        libc: &Libc,
-        mode: Mode,
-        decls: Vec<FunctionDecl>,
-    ) -> BallistaReport {
-        let prepared = self.prepare_mode(libc, mode, decls);
-        let mut report = BallistaReport::new(mode.label());
-        for name in &self.functions {
-            let mut rng = StdRng::seed_from_u64(derive_seed(self.seed, name));
-            for class in self.run_function(libc, &prepared, name, &mut rng) {
-                report.record(name, class);
-            }
-        }
-        report
-    }
-
     /// The functions under evaluation, in execution order.
     pub fn functions(&self) -> &[String] {
         &self.functions
@@ -190,7 +156,7 @@ impl Ballista {
 
     /// Build the wrapper, prepared world, and test-value pools for one
     /// configuration — the immutable evaluation context that
-    /// [`Ballista::run_function`] executes against. Splitting this from
+    /// [`Ballista::run_function_full`] executes against. Splitting this from
     /// the per-function loop lets orchestrators (the campaign crate) fan
     /// functions out over worker threads against a shared context.
     pub fn prepare_mode(&self, libc: &Libc, mode: Mode, decls: Vec<FunctionDecl>) -> PreparedMode {
@@ -217,33 +183,6 @@ impl Ballista {
             ),
         };
         PreparedMode::new(libc, mode.label(), wrapper)
-    }
-
-    /// Evaluate one function against a prepared configuration, drawing
-    /// sampling decisions from `rng`, and return the classified outcome
-    /// of every test vector in generation order.
-    pub fn run_function(
-        &self,
-        libc: &Libc,
-        prepared: &PreparedMode,
-        name: &str,
-        rng: &mut StdRng,
-    ) -> Vec<TestClass> {
-        self.run_function_stats(libc, prepared, name, rng).0
-    }
-
-    /// Like [`Ballista::run_function`], but additionally returns the
-    /// wrapper statistics accumulated across the run. See
-    /// [`Ballista::run_function_full`] for the stats contract.
-    pub fn run_function_stats(
-        &self,
-        libc: &Libc,
-        prepared: &PreparedMode,
-        name: &str,
-        rng: &mut StdRng,
-    ) -> (Vec<TestClass>, WrapperStats) {
-        let run = self.run_function_full(libc, prepared, name, rng);
-        (run.classes, run.stats)
     }
 
     /// Evaluate one function and return everything the run produced:
@@ -292,7 +231,7 @@ impl Ballista {
 
     /// The test vectors of one function, in generation order, drawing
     /// sampling decisions from `rng` exactly as
-    /// [`Ballista::run_function`] does.
+    /// [`Ballista::run_function_full`] does.
     pub fn test_vectors(
         &self,
         libc: &Libc,
@@ -486,15 +425,41 @@ fn generate_vectors(
 
 #[cfg(test)]
 mod tests {
+    use rand::SeedableRng;
+
     use super::*;
+    use crate::fingerprint::derive_seed;
+    use crate::report::BallistaReport;
+
+    /// The serial Figure 6 loop: every function of `b` in order, each
+    /// sampling from its own [`derive_seed`] RNG, as the campaign does.
+    fn run(b: &Ballista, mode: Mode) -> BallistaReport {
+        let libc = Libc::standard();
+        let decls = match mode {
+            Mode::Unwrapped => Vec::new(),
+            _ => b.analyze_targets(&libc),
+        };
+        let prepared = b.prepare_mode(&libc, mode, decls);
+        let mut report = BallistaReport::new(mode.label());
+        for name in b.functions() {
+            let mut rng = StdRng::seed_from_u64(derive_seed(b.seed(), name));
+            for class in b
+                .run_function_full(&libc, &prepared, name, &mut rng)
+                .classes
+            {
+                report.record(name, class);
+            }
+        }
+        report
+    }
 
     #[test]
     fn unwrapped_strcpy_crashes_and_wrapped_does_not() {
         let b = Ballista::new().with_functions(&["strcpy"]).with_cap(100);
-        let unwrapped = b.run(Mode::Unwrapped);
+        let unwrapped = run(&b, Mode::Unwrapped);
         assert!(unwrapped.function("strcpy").unwrap().failures() > 0);
 
-        let full = b.run(Mode::FullAuto);
+        let full = run(&b, Mode::FullAuto);
         let f = full.function("strcpy").unwrap();
         assert_eq!(f.failures(), 0, "full-auto strcpy still failing");
         assert!(f.errno_set > 0, "violations should become errno returns");
@@ -505,7 +470,7 @@ mod tests {
         let b = Ballista::new()
             .with_functions(crate::targets::NEVER_CRASHING)
             .with_cap(100);
-        let r = b.run(Mode::Unwrapped);
+        let r = run(&b, Mode::Unwrapped);
         for (name, o) in r.iter() {
             assert_eq!(o.failures(), 0, "{name} crashed unwrapped");
             assert!(o.tests > 0, "{name} had no tests");
@@ -515,28 +480,28 @@ mod tests {
     #[test]
     fn closedir_is_fixed_only_by_the_semi_auto_wrapper() {
         let b = Ballista::new().with_functions(&["closedir"]).with_cap(50);
-        let unwrapped = b.run(Mode::Unwrapped);
+        let unwrapped = run(&b, Mode::Unwrapped);
         assert!(unwrapped.function("closedir").unwrap().failures() > 0);
 
-        let full = b.run(Mode::FullAuto);
+        let full = run(&b, Mode::FullAuto);
         assert!(
             full.function("closedir").unwrap().failures() > 0,
             "full-auto should NOT be able to validate DIR pointers (§5.2)"
         );
 
-        let semi = b.run(Mode::SemiAuto);
+        let semi = run(&b, Mode::SemiAuto);
         assert_eq!(semi.function("closedir").unwrap().failures(), 0);
     }
 
     #[test]
     fn corrupted_streams_survive_full_auto_but_not_semi_auto() {
         let b = Ballista::new().with_functions(&["fgetc"]).with_cap(50);
-        let full = b.run(Mode::FullAuto);
+        let full = run(&b, Mode::FullAuto);
         assert!(
             full.function("fgetc").unwrap().failures() > 0,
             "corrupted FILE should slip past fileno+fstat"
         );
-        let semi = b.run(Mode::SemiAuto);
+        let semi = run(&b, Mode::SemiAuto);
         assert_eq!(semi.function("fgetc").unwrap().failures(), 0);
     }
 
@@ -547,22 +512,24 @@ mod tests {
         let decls = b.analyze_targets(&libc);
         let prepared = b.prepare_mode(&libc, Mode::FullAuto, decls);
         let mut rng = StdRng::seed_from_u64(derive_seed(b.seed(), "strcpy"));
-        let (classes, stats) = b.run_function_stats(&libc, &prepared, "strcpy", &mut rng);
+        let FunctionRun { classes, stats, .. } =
+            b.run_function_full(&libc, &prepared, "strcpy", &mut rng);
         assert!(!classes.is_empty());
         assert_eq!(stats.calls, classes.len() as u64);
         assert!(stats.checks > 0);
         assert!(stats.violations > 0, "strcpy tests include invalid args");
-        // The plain variant is the same run minus the stats.
+        // The same seed replays the same classes.
         let mut rng = StdRng::seed_from_u64(derive_seed(b.seed(), "strcpy"));
         assert_eq!(
-            b.run_function(&libc, &prepared, "strcpy", &mut rng),
+            b.run_function_full(&libc, &prepared, "strcpy", &mut rng)
+                .classes,
             classes
         );
         // Unwrapped configurations have no wrapper stats to report.
         let unwrapped = b.prepare_mode(&libc, Mode::Unwrapped, Vec::new());
         let mut rng = StdRng::seed_from_u64(derive_seed(b.seed(), "strcpy"));
-        let (_, stats) = b.run_function_stats(&libc, &unwrapped, "strcpy", &mut rng);
-        assert_eq!(stats.calls, 0);
+        let run = b.run_function_full(&libc, &unwrapped, "strcpy", &mut rng);
+        assert_eq!(run.stats.calls, 0);
     }
 
     #[test]

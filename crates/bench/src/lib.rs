@@ -1,15 +1,16 @@
-//! Benchmark harnesses: the workload programs of §7 and shared plumbing
-//! for the table/figure regeneration binaries.
+//! Benchmark harnesses: the workload programs of §7 and the Table 2
+//! overhead binary that runs them.
 //!
-//! Every table and figure of the paper has a regenerating target:
+//! Every table and figure of the paper has one regenerating command:
 //!
-//! | Paper artifact | Target |
+//! | Paper artifact | Command |
 //! |---|---|
-//! | Figure 6 (Ballista outcomes, 3 configurations) | `cargo run -p healers-bench --bin fig6_ballista --release` |
-//! | Table 1 (error-return-code classes) | `cargo run -p healers-bench --bin table1_errcodes --release` |
+//! | Figure 6 (Ballista outcomes, 3 configurations) | `healers campaign --mode all [--jobs N] [--cache DIR] [--on-violation P]` |
+//! | Table 1 (error-return-code classes) | `healers campaign --mode table1 [--jobs N] [--cache DIR]` |
 //! | Table 2 (execution overhead of 4 utilities) | `cargo run -p healers-bench --bin table2_overhead --release` |
-//! | §3 extraction statistics | `cargo run -p healers-bench --bin section3_extraction --release` |
-//! | Figure 2 / Figure 5 artifacts | `cargo run -p healers-bench --bin fig2_fig5_artifacts --release` |
+//! | §3 extraction statistics | `healers extract` |
+//! | Figure 2 / Figure 5 artifacts | `healers analyze asctime` / `healers wrap [--out FILE]` |
+//! | Bit-flip study (§9) | `healers bitflip` |
 //!
 //! Per-layer timings (kernels, per-check ops, wrapped calls) come from
 //! `healbench --trace 1`, not from this crate.

@@ -5,9 +5,8 @@
 //! Determinism contract: the analysis path contains no randomness at
 //! all, and the evaluation path gives every function its own RNG seeded
 //! by [`derive_seed`], so both produce bit-identical results for any
-//! `--jobs` value. (The legacy serial runner threads one shared RNG
-//! through all functions; the campaign path trades that stream for
-//! scheduling independence.)
+//! `--jobs` value. This is the one loop over functions: `--jobs 1` is
+//! the serial run.
 
 use std::fs::File;
 use std::io::{self, BufWriter};

@@ -55,8 +55,8 @@ pub use healers_trace::json;
 pub use cache::{CacheCounters, CacheError, CacheErrorKind, DeclCache, CACHE_FORMAT_VERSION};
 pub use campaign::{Campaign, CampaignConfig};
 pub use chrome::chrome_trace;
-// The fingerprint module lives in `healers-ballista` so the serial
-// runner can derive the same per-function seeds; re-exported here
+// The fingerprint module lives in `healers-ballista` beside the
+// runner whose per-function seeds it derives; re-exported here
 // because the declaration cache keys are part of this crate's API.
 pub use healers_ballista::fingerprint;
 pub use healers_ballista::fingerprint::{derive_seed, fingerprint, Fingerprint, FORMAT_VERSION};

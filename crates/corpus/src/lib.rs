@@ -19,7 +19,7 @@
 //! This crate reproduces both sides: [`generate`] builds a corpus with
 //! exactly those imperfection rates (seeded, deterministic), and
 //! [`pipeline`] implements the recovery logic whose success statistics
-//! the `section3_extraction` harness reports.
+//! `healers extract` reports.
 //!
 //! # Examples
 //!

@@ -5,7 +5,7 @@
 //! chance of success in case the function is defined across multiple
 //! header files"), fall back to scanning all headers, and record which
 //! route succeeded. The aggregate statistics of the run are the §3
-//! numbers the `section3_extraction` harness reports.
+//! numbers `healers extract` reports.
 
 use std::collections::BTreeMap;
 

@@ -3,10 +3,9 @@
 //! ```text
 //! healers [--seed N] analyze <function>...   print generated declarations (Figure 2 XML)
 //! healers [--seed N] wrap [--out FILE] [--on-violation M]  emit the C wrapper library for all 86 targets
-//! healers [--seed N] ballista [--mode M] [--cap N]  run the Figure 6 evaluation
 //! healers [--seed N] campaign [--jobs N] [--cache DIR] [--journal FILE] [--trace FILE]
 //!                             [--mode M] [--cap N] [--out FILE] [--progress] [<function>...]
-//!                                            parallel orchestrated analysis/evaluation
+//!                                            declarations, Table 1 or the Figure 6 evaluation
 //! healers [--seed N] report [--mode M] [--cap N] [--jobs N] [--json] [--timings]
 //!                           [<function>...]  deterministic telemetry report of one evaluation
 //! healers [--seed N] fuzz run [--budget N] [--jobs N] [--max-len N] [--mode full|semi] [--threads]
@@ -26,6 +25,7 @@
 //! healers serve stats --socket PATH [--prom | --deterministic] [--timings] [--watch]
 //!                                            scrape a running daemon's live stats
 //! healers extract                            run the §3 prototype-extraction statistics
+//! healers bitflip                            run the bit-flip robustness study
 //! healers tour <function>...                 show discovered robust argument types
 //! healers help                               this listing
 //! ```
@@ -33,22 +33,23 @@
 //! Every subcommand returns `Result<(), healers::Error>`; [`main`] is
 //! the single place errors become process exit codes (usage errors
 //! exit 2, runtime failures exit 1). Mode strings are parsed once,
-//! through [`Mode`]'s `FromStr` — the same tokens the bench binaries
-//! accept.
+//! through [`Mode`]'s `FromStr`.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use healers::ballista::{ballista_targets, Ballista, Mode};
+use healers::ballista::{ballista_targets, run_bitflip, Ballista, Mode};
 use healers::campaign::json::JsonObject;
 use healers::campaign::{Campaign, CampaignConfig, Journal};
 use healers::core::{
     analyze, decls_to_xml, emit_checks_header, emit_wrapper_source_as, ViolationAction,
-    WrapperStats,
+    WrapperBuilder, WrapperConfig, WrapperStats,
 };
-use healers::corpus::{generate::CorpusConfig, pipeline::recover_all};
+use healers::corpus::generate::CorpusConfig;
+use healers::corpus::pipeline::{recover_all, RecoverySource};
 use healers::fuzz::{FuzzConfig, FuzzEvent, Pin, PinMode};
-use healers::inject::FaultInjector;
+use healers::inject::{ErrCodeClass, FaultInjector};
 use healers::libc::Libc;
 use healers::typesys::{robust_type_traced, SelectionCriterion};
 use healers::Error;
@@ -57,10 +58,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  healers [--seed N] analyze <function>...\n  \
          healers [--seed N] wrap [--out FILE] [--on-violation abort|error|repair]\n  \
-         healers [--seed N] ballista [--mode unwrapped|full|semi|all] [--cap N]\n  \
-         \x20                        [--on-violation abort|error|repair]\n  \
          healers [--seed N] campaign [--jobs N] [--cache DIR] [--journal FILE]\n  \
-         \x20                        [--trace FILE] [--mode decls|unwrapped|full|semi|all]\n  \
+         \x20                        [--trace FILE] [--mode decls|table1|unwrapped|full|semi|all]\n  \
          \x20                        [--cap N] [--out FILE] [--progress]\n  \
          \x20                        [--on-violation abort|error|repair] [<function>...]\n  \
          healers [--seed N] report [--mode unwrapped|full|semi] [--cap N] [--jobs N]\n  \
@@ -79,6 +78,7 @@ fn usage() -> ExitCode {
          healers serve send --socket PATH --script FILE [--raw-out FILE]\n  \
          healers serve stats --socket PATH [--prom | --deterministic] [--timings] [--watch]\n  \
          healers extract\n  \
+         healers bitflip\n  \
          healers tour <function>...\n  \
          healers help"
     );
@@ -119,13 +119,13 @@ fn run() -> Result<(), Error> {
     match command.as_str() {
         "analyze" => cmd_analyze(&args[1..]),
         "wrap" => cmd_wrap(&args[1..]),
-        "ballista" => cmd_ballista(&args[1..], seed),
         "campaign" => cmd_campaign(&args[1..], seed),
         "report" => cmd_report(&args[1..], seed),
         "fuzz" => cmd_fuzz(&args[1..], seed),
         "explain" => cmd_explain(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "extract" => cmd_extract(),
+        "extract" => cmd_extract(&args[1..]),
+        "bitflip" => cmd_bitflip(&args[1..]),
         "tour" => cmd_tour(&args[1..]),
         _ => Err(Error::Usage), // includes `help`: print the listing, exit 2
     }
@@ -221,45 +221,6 @@ fn cmd_wrap(rest: &[String]) -> Result<(), Error> {
     Ok(())
 }
 
-fn cmd_ballista(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
-    let mut mode = "all".to_string();
-    let mut cap = 180usize;
-    let mut action: Option<ViolationAction> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--mode" => mode = it.next().ok_or(Error::Usage)?.clone(),
-            "--cap" => {
-                cap = it.next().and_then(|v| v.parse().ok()).ok_or(Error::Usage)?;
-            }
-            "--on-violation" => {
-                action = Some(parse_action("ballista", it.next().ok_or(Error::Usage)?)?);
-            }
-            _ => return Err(Error::Usage),
-        }
-    }
-    let modes = parse_modes("ballista", &mode)?;
-    let mut ballista = Ballista::new().with_cap(cap);
-    if let Some(action) = action {
-        ballista = ballista.with_action(action);
-    }
-    if let Some(seed) = seed {
-        ballista = ballista.with_seed(seed);
-    }
-    let libc = Libc::standard();
-    eprintln!("analyzing 86 functions…");
-    let decls = ballista.analyze_targets(&libc);
-    for m in modes {
-        let report = ballista.run_with_decls(&libc, m, decls.clone());
-        println!("{}", report.render());
-        let failing = report.functions_with_failures();
-        if !failing.is_empty() {
-            println!("    still failing: {}", failing.join(", "));
-        }
-    }
-    Ok(())
-}
-
 fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
     let mut jobs = 1usize;
     let mut cache_dir: Option<PathBuf> = None;
@@ -282,9 +243,10 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
             "--journal" => journal_path = Some(PathBuf::from(it.next().ok_or(Error::Usage)?)),
             "--trace" => trace_path = Some(PathBuf::from(it.next().ok_or(Error::Usage)?)),
             "--mode" => mode = it.next().ok_or(Error::Usage)?.clone(),
-            "--cap" => {
-                cap = it.next().and_then(|v| v.parse().ok()).ok_or(Error::Usage)?;
-            }
+            "--cap" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(c) if c >= 1 => cap = c,
+                _ => return Err(Error::Usage),
+            },
             "--out" => out = Some(PathBuf::from(it.next().ok_or(Error::Usage)?)),
             "--progress" => progress = true,
             "--on-violation" => {
@@ -294,9 +256,11 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
             name => functions.push(name.to_string()),
         }
     }
-    // `decls` (analysis only, XML out) is a campaign-specific pseudo
-    // mode on top of the shared Mode tokens.
-    let modes: Vec<Mode> = if mode == "decls" {
+    // `decls` (the XML) and `table1` (the error-return-code classes)
+    // are analysis-only views of the declarations, campaign-specific
+    // pseudo modes on top of the shared Mode tokens.
+    let analysis_only = mode == "decls" || mode == "table1";
+    let modes: Vec<Mode> = if analysis_only {
         Vec::new()
     } else {
         parse_modes("campaign", &mode)?
@@ -349,9 +313,9 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
     })
     .map_err(|e| Error::io("campaign", e))?;
 
-    // The declarations feed both the XML output and the wrapped
+    // The declarations feed the analysis-only views and the wrapped
     // evaluation modes; a pure-unwrapped run skips injection entirely.
-    let needs_decls = mode == "decls" || modes.iter().any(|m| !matches!(m, Mode::Unwrapped));
+    let needs_decls = analysis_only || modes.iter().any(|m| !matches!(m, Mode::Unwrapped));
     let mut decls = Vec::new();
     if needs_decls {
         let (d, metrics) = campaign
@@ -360,15 +324,19 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
         eprintln!("{metrics}");
         decls = d;
     }
-    if mode == "decls" {
-        let xml = decls_to_xml(&decls);
+    if analysis_only {
+        let text = if mode == "decls" {
+            decls_to_xml(&decls)
+        } else {
+            render_table1(&decls)
+        };
         match &out {
             Some(path) => {
-                std::fs::write(path, &xml).map_err(|e| {
+                std::fs::write(path, &text).map_err(|e| {
                     Error::io(format!("campaign: cannot write {}", path.display()), e)
                 })?;
             }
-            None => print!("{xml}"),
+            None => print!("{text}"),
         }
     }
 
@@ -382,6 +350,10 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
     for m in modes {
         let (report, metrics) = campaign.evaluate(&libc, &ballista, m, decls.clone());
         println!("{}", report.render());
+        let failing = report.functions_with_failures();
+        if !failing.is_empty() {
+            println!("    still failing: {}", failing.join(", "));
+        }
         eprintln!("{metrics}");
     }
 
@@ -400,6 +372,67 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
         eprintln!("trace: wrote {}", path.display());
     }
     Ok(())
+}
+
+/// Table 1: the declarations grouped by error-return-code class, each
+/// class with its count, share and the paper's value, then the
+/// inconsistent functions and whether `fflush` found no error code.
+fn render_table1(decls: &[healers::core::FunctionDecl]) -> String {
+    use std::fmt::Write as _;
+    let mut by_class: BTreeMap<&'static str, Vec<&str>> = BTreeMap::new();
+    for decl in decls {
+        by_class
+            .entry(decl.errcode_class.label())
+            .or_default()
+            .push(&decl.name);
+    }
+    let total = decls.len();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Table 1 — error return code determination ({total} functions)"
+    );
+    let _ = writeln!(
+        out,
+        "=============================================================="
+    );
+    let _ = writeln!(
+        out,
+        "{:<34} {:>6} {:>11}   (paper)",
+        "Return Code Class", "Number", "Percentage"
+    );
+    let order = [
+        (ErrCodeClass::NoReturnCode.label(), "8 / 9.3%"),
+        (ErrCodeClass::Consistent.label(), "39 / 45.3%"),
+        (ErrCodeClass::Inconsistent.label(), "2 / 2.3%"),
+        (ErrCodeClass::NoErrorReturnCodeFound.label(), "37 / 43.0%"),
+    ];
+    for (label, paper) in order {
+        let n = by_class.get(label).map_or(0, Vec::len);
+        let _ = writeln!(
+            out,
+            "{:<34} {:>6} {:>10.1}%   ({paper})",
+            label,
+            n,
+            100.0 * n as f64 / total as f64
+        );
+    }
+    let _ = writeln!(out);
+    if let Some(inconsistent) = by_class.get(ErrCodeClass::Inconsistent.label()) {
+        let _ = writeln!(out, "inconsistent functions: {}", inconsistent.join(", "));
+        let _ = writeln!(
+            out,
+            "(paper: fdopen, freopen — errno sometimes set on success)"
+        );
+    }
+    if let Some(none) = by_class.get(ErrCodeClass::NoErrorReturnCodeFound.label()) {
+        let _ = writeln!(
+            out,
+            "fflush in the none-found class: {} (paper: the one function that should set errno)",
+            none.contains(&"fflush")
+        );
+    }
+    out
 }
 
 /// `healers report` — one evaluation run rendered as a telemetry
@@ -421,9 +454,10 @@ fn cmd_report(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--mode" => mode = it.next().ok_or(Error::Usage)?.clone(),
-            "--cap" => {
-                cap = it.next().and_then(|v| v.parse().ok()).ok_or(Error::Usage)?;
-            }
+            "--cap" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(c) if c >= 1 => cap = c,
+                _ => return Err(Error::Usage),
+            },
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(j) if j >= 1 => jobs = j,
                 _ => return Err(Error::Usage),
@@ -461,7 +495,10 @@ fn cmd_report(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
     let decls = if matches!(mode, Mode::Unwrapped) {
         Vec::new()
     } else {
-        analyze(&libc, &name_refs)
+        campaign
+            .analyze(&libc, &name_refs)
+            .map_err(|e| Error::io("report", e))?
+            .0
     };
     let mut ballista = Ballista::new().with_functions(&name_refs).with_cap(cap);
     if let Some(seed) = seed {
@@ -1262,16 +1299,83 @@ fn cmd_serve_stats(rest: &[String]) -> Result<(), Error> {
     }
 }
 
-fn cmd_extract() -> Result<(), Error> {
+/// `healers extract` — the §3 prototype-extraction statistics over
+/// the simulated glibc-2.2-scale corpus, beside the paper's values.
+fn cmd_extract(rest: &[String]) -> Result<(), Error> {
+    if !rest.is_empty() {
+        return Err(Error::Usage);
+    }
     let corpus = CorpusConfig::default().generate();
     let report = recover_all(&corpus);
+    let pct = |fraction: f64| format!("{:>5.1}%", 100.0 * fraction);
+    println!("Section 3 — prototype extraction over the simulated corpus");
+    println!("===========================================================");
+    println!("global symbols:           {}", corpus.symbols.symbols.len());
+    println!("external functions:       {}", report.externals());
     println!(
-        "symbols {} | internal {:.1}% | man-page coverage {:.1}% | wrong headers {:.1}% | found {:.1}%",
-        corpus.symbols.symbols.len(),
-        100.0 * report.internal_fraction(),
-        100.0 * report.manpage_coverage(),
-        100.0 * report.manpage_wrong_headers_fraction(),
-        100.0 * report.found_fraction(),
+        "internal symbols:         {}   (paper: >34%)",
+        pct(report.internal_fraction())
+    );
+    println!(
+        "man-page coverage:        {}   (paper: 51.1%)",
+        pct(report.manpage_coverage())
+    );
+    println!(
+        "pages listing no headers: {}   (paper: 1.2%)",
+        pct(report.manpage_no_headers_fraction())
+    );
+    println!(
+        "pages with wrong headers: {}   (paper: 7.7%)",
+        pct(report.manpage_wrong_headers_fraction())
+    );
+    println!(
+        "prototypes found:         {}   (paper: 96.0%)",
+        pct(report.found_fraction())
+    );
+    let routes = |source: RecoverySource| report.iter().filter(|r| r.source == source).count();
+    println!();
+    println!(
+        "recovery routes: man-page headers {}, global scan {}, not found {}",
+        routes(RecoverySource::ManPageHeaders),
+        routes(RecoverySource::GlobalScan),
+        routes(RecoverySource::NotFound)
+    );
+    Ok(())
+}
+
+/// `healers bitflip` — the §9 future-work experiment: starting from
+/// valid calls, every single-bit corruption of every argument word is
+/// injected, with and without the fully automatic wrapper.
+fn cmd_bitflip(rest: &[String]) -> Result<(), Error> {
+    if !rest.is_empty() {
+        return Err(Error::Usage);
+    }
+    let libc = Libc::standard();
+    let targets = ballista_targets();
+    eprintln!("analyzing {} functions…", targets.len());
+    let wrapper = WrapperBuilder::new()
+        .decls(analyze(&libc, &targets))
+        .config(WrapperConfig::full_auto())
+        .build();
+    let unwrapped = run_bitflip(&libc, &targets, None, "Unwrapped");
+    let wrapped = run_bitflip(&libc, &targets, Some(wrapper), "Full-Auto Wrapped");
+
+    println!("Bit-flip fault injection over {} functions", targets.len());
+    println!("==================================================");
+    println!("{}", unwrapped.render());
+    println!("{}", wrapped.render());
+    let u = unwrapped.totals().failures();
+    let w = wrapped.totals().failures();
+    println!();
+    println!(
+        "crash+abort+hang reduction: {u} -> {w}  ({:.1}% prevented)",
+        100.0 * (u as f64 - w as f64) / u.max(1) as f64
+    );
+    let mut residual = wrapped.functions_with_failures();
+    residual.sort_unstable();
+    println!(
+        "functions still failing under bit flips: {}",
+        residual.join(", ")
     );
     Ok(())
 }

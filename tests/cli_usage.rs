@@ -16,7 +16,7 @@ fn healers(args: &[&str]) -> Output {
 /// listing it here (and in `usage()`) fails the exact-set comparison
 /// below, so the listing and this test cannot silently drift apart.
 const SUBCOMMANDS: &[&str] = &[
-    "analyze", "wrap", "ballista", "campaign", "report", "explain", "extract", "fuzz", "serve",
+    "analyze", "wrap", "campaign", "report", "explain", "extract", "bitflip", "fuzz", "serve",
     "tour", "help",
 ];
 
@@ -99,6 +99,10 @@ fn unknown_flags_exit_2() {
         &["--frob", "analyze", "strlen"][..],
         &["report", "--frob"][..],
         &["campaign", "--trace"][..], // missing the path operand
+        &["campaign", "--mode", "full", "--cap", "0", "strlen"][..],
+        &["report", "--cap", "0"][..],
+        &["extract", "--frob"][..],
+        &["bitflip", "--frob"][..],
     ] {
         let out = healers(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
@@ -111,8 +115,8 @@ fn on_violation_misuse_exits_2_everywhere_it_is_accepted() {
     // funnels the token through the same parser, so misuse is exit 2
     // with the same diagnostic wording regardless of subcommand.
     for args in [
-        &["ballista", "--on-violation"][..], // missing operand
-        &["ballista", "--on-violation", "panic"][..],
+        &["campaign", "--on-violation"][..], // missing operand
+        &["campaign", "--on-violation", "panic"][..],
         &["wrap", "--on-violation", "heal"][..],
         &["campaign", "--on-violation", "Repair"][..], // tokens are lowercase
         &["report", "--on-violation", "none"][..],

@@ -1,8 +1,10 @@
 //! A fast Figure 6 slice: the three-configuration Ballista comparison
-//! over a representative subset of the 86 functions. (The full run is
-//! `cargo run -p healers-bench --bin fig6_ballista --release`.)
+//! over a representative subset of the 86 functions, evaluated by the
+//! campaign at one job. (The full run is `healers campaign --mode all`.)
 
-use healers::ballista::{Ballista, Mode};
+use healers::ballista::{Ballista, BallistaReport, Mode};
+use healers::campaign::{Campaign, CampaignConfig};
+use healers::core::FunctionDecl;
 use healers::libc::Libc;
 
 /// One representative per family: string copy, string scan, stdio
@@ -21,15 +23,28 @@ const SUBSET: &[&str] = &[
     "abs",
 ];
 
+/// One configuration evaluated through the campaign at `--jobs 1`.
+fn evaluate(
+    ballista: &Ballista,
+    libc: &Libc,
+    mode: Mode,
+    decls: Vec<FunctionDecl>,
+) -> BallistaReport {
+    let campaign = Campaign::new(&CampaignConfig::default()).unwrap();
+    let (report, _) = campaign.evaluate(libc, ballista, mode, decls);
+    campaign.finish().unwrap();
+    report
+}
+
 #[test]
 fn wrapper_configurations_are_strictly_ordered() {
     let ballista = Ballista::new().with_functions(SUBSET).with_cap(120);
     let libc = Libc::standard();
     let decls = ballista.analyze_targets(&libc);
 
-    let unwrapped = ballista.run_with_decls(&libc, Mode::Unwrapped, decls.clone());
-    let full = ballista.run_with_decls(&libc, Mode::FullAuto, decls.clone());
-    let semi = ballista.run_with_decls(&libc, Mode::SemiAuto, decls);
+    let unwrapped = evaluate(&ballista, &libc, Mode::Unwrapped, decls.clone());
+    let full = evaluate(&ballista, &libc, Mode::FullAuto, decls.clone());
+    let semi = evaluate(&ballista, &libc, Mode::SemiAuto, decls);
 
     let u = unwrapped.totals();
     let f = full.totals();
@@ -62,7 +77,7 @@ fn never_crashing_functions_stay_clean_in_every_configuration() {
     let libc = Libc::standard();
     let decls = ballista.analyze_targets(&libc);
     for mode in [Mode::Unwrapped, Mode::FullAuto, Mode::SemiAuto] {
-        let report = ballista.run_with_decls(&libc, mode, decls.clone());
+        let report = evaluate(&ballista, &libc, mode, decls.clone());
         assert_eq!(report.totals().failures(), 0, "{mode:?}");
     }
 }
@@ -74,8 +89,8 @@ fn results_are_deterministic() {
         .with_cap(60);
     let libc = Libc::standard();
     let decls = ballista.analyze_targets(&libc);
-    let a = ballista.run_with_decls(&libc, Mode::FullAuto, decls.clone());
-    let b = ballista.run_with_decls(&libc, Mode::FullAuto, decls);
+    let a = evaluate(&ballista, &libc, Mode::FullAuto, decls.clone());
+    let b = evaluate(&ballista, &libc, Mode::FullAuto, decls);
     assert_eq!(a.totals(), b.totals());
     for (name, outcomes) in a.iter() {
         assert_eq!(Some(outcomes), b.function(name));
@@ -93,7 +108,7 @@ fn seed_changes_sampling_but_not_the_headline() {
             .with_cap(60)
             .with_seed(seed);
         let decls = ballista.analyze_targets(&libc);
-        let semi = ballista.run_with_decls(&libc, Mode::SemiAuto, decls);
+        let semi = evaluate(&ballista, &libc, Mode::SemiAuto, decls);
         assert_eq!(semi.totals().failures(), 0, "seed {seed}");
     }
 }
