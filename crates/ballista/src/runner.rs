@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 use healers_core::{
-    analyze, FunctionDecl, RobustnessWrapper, ViolationAction, WrapperBuilder, WrapperConfig,
-    WrapperStats,
+    FunctionDecl, RobustnessWrapper, ViolationAction, WrapperBuilder, WrapperConfig, WrapperStats,
 };
 use healers_libc::{Libc, World};
 use healers_simproc::{rollback, run_in_child, CowStats, SimFault, SimValue};
@@ -136,14 +135,6 @@ impl Ballista {
         self
     }
 
-    /// Run the fault-injection analysis for all target functions (the
-    /// input to both wrapped configurations). Exposed so callers can
-    /// reuse the declarations across modes.
-    pub fn analyze_targets(&self, libc: &Libc) -> Vec<FunctionDecl> {
-        let names: Vec<&str> = self.functions.iter().map(|s| s.as_str()).collect();
-        analyze(libc, &names)
-    }
-
     /// The functions under evaluation, in execution order.
     pub fn functions(&self) -> &[String] {
         &self.functions
@@ -206,11 +197,6 @@ impl Ballista {
         rng: &mut StdRng,
     ) -> FunctionRun {
         let vectors = self.test_vectors(libc, prepared, name, rng);
-        // Live-progress counter for the observability plane: one
-        // relaxed add per function run, never per test vector.
-        healers_trace::metrics::global()
-            .counter("ballista_tests_total")
-            .add(vectors.len() as u64);
         let mut stats = WrapperStats::default();
         let mut cow = CowStats::default();
         let classes = vectors
@@ -430,6 +416,7 @@ mod tests {
     use super::*;
     use crate::fingerprint::derive_seed;
     use crate::report::BallistaReport;
+    use healers_core::analyze;
 
     /// The serial Figure 6 loop: every function of `b` in order, each
     /// sampling from its own [`derive_seed`] RNG, as the campaign does.
@@ -437,7 +424,10 @@ mod tests {
         let libc = Libc::standard();
         let decls = match mode {
             Mode::Unwrapped => Vec::new(),
-            _ => b.analyze_targets(&libc),
+            _ => {
+                let names: Vec<&str> = b.functions().iter().map(String::as_str).collect();
+                analyze(&libc, &names)
+            }
         };
         let prepared = b.prepare_mode(&libc, mode, decls);
         let mut report = BallistaReport::new(mode.label());
@@ -509,7 +499,7 @@ mod tests {
     fn run_function_stats_accumulates_per_test_wrapper_stats() {
         let libc = Libc::standard();
         let b = Ballista::new().with_functions(&["strcpy"]).with_cap(40);
-        let decls = b.analyze_targets(&libc);
+        let decls = analyze(&libc, &["strcpy"]);
         let prepared = b.prepare_mode(&libc, Mode::FullAuto, decls);
         let mut rng = StdRng::seed_from_u64(derive_seed(b.seed(), "strcpy"));
         let FunctionRun { classes, stats, .. } =
@@ -547,10 +537,9 @@ mod tests {
         // Every test classifies the same on a snapshot of the prepared
         // world as on a deep copy of it.
         let libc = Libc::standard();
-        let b = Ballista::new()
-            .with_functions(&["strcpy", "closedir", "atoi"])
-            .with_cap(60);
-        let prepared = b.prepare_mode(&libc, Mode::SemiAuto, b.analyze_targets(&libc));
+        let names = ["strcpy", "closedir", "atoi"];
+        let b = Ballista::new().with_functions(&names).with_cap(60);
+        let prepared = b.prepare_mode(&libc, Mode::SemiAuto, analyze(&libc, &names));
         let mut cow = BallistaReport::new(prepared.label());
         let mut deep = BallistaReport::new(prepared.label());
         for name in b.functions() {
@@ -571,7 +560,7 @@ mod tests {
     fn run_function_full_reports_snapshot_telemetry() {
         let libc = Libc::standard();
         let b = Ballista::new().with_functions(&["strcpy"]).with_cap(40);
-        let decls = b.analyze_targets(&libc);
+        let decls = analyze(&libc, &["strcpy"]);
 
         let prepared = b.prepare_mode(&libc, Mode::FullAuto, decls);
         let mut rng = StdRng::seed_from_u64(derive_seed(b.seed(), "strcpy"));

@@ -24,10 +24,8 @@
 //!   `precheck` entry point against the end-of-run world and tracking
 //!   tables. This is steady-state checking throughput (warm validity
 //!   cache, no application compute, no library execution). The same
-//!   replay with the telemetry gate enabled (`calls_per_sec_metrics_on`)
-//!   is the observability ablation: every precheck then pays the
-//!   latency clock read and histogram record on top of the always-on
-//!   registry counters.
+//!   replay under `--on-violation repair` (`calls_per_sec_repair`)
+//!   prices that policy's pass path.
 //!
 //! `--fast` runs 3 reps instead of 7 (CI perf smoke).
 //!
@@ -68,7 +66,6 @@ fn best(
 struct Row {
     name: &'static str,
     calls_per_sec: f64,
-    calls_per_sec_metrics_on: f64,
     calls_per_sec_repair: f64,
     workload_calls_per_sec: f64,
     time_in_library: f64,
@@ -192,15 +189,6 @@ fn measure(libc: &Libc, decls: &[FunctionDecl], workload: &Workload, reps: usize
         ),
     );
     healers_trace::set_enabled(false);
-    // Observability ablation: the identical compiled-plan replay with
-    // the telemetry gate on, so each precheck also reads the clock and
-    // records into the `wrapper_precheck_ns` histogram. The registry
-    // counters themselves are unconditional and thus part of every
-    // throughput number in this table.
-    healers_trace::set_enabled(true);
-    let metrics_on =
-        replay_calls_per_sec(libc, decls, workload, ViolationAction::ReturnError, reps);
-    healers_trace::set_enabled(false);
     Row {
         name: workload.name,
         calls_per_sec: replay_calls_per_sec(
@@ -210,7 +198,6 @@ fn measure(libc: &Libc, decls: &[FunctionDecl], workload: &Workload, reps: usize
             ViolationAction::ReturnError,
             reps,
         ),
-        calls_per_sec_metrics_on: metrics_on,
         // Repair-policy ablation: the identical compiled replay with
         // `--on-violation repair` semantics. The workloads are correct
         // programs, so nothing is actually repaired — this prices the
@@ -250,7 +237,7 @@ fn main() {
         .iter()
         .map(|w| {
             eprintln!(
-                "measuring {} ({reps} reps × 3 configurations + 1 telemetry run + 3 trace replays)…",
+                "measuring {} ({reps} reps × 3 configurations + 1 telemetry run + 2 trace replays)…",
                 w.name
             );
             measure(&libc, &decls, w, reps)
@@ -274,11 +261,6 @@ fn main() {
         print!("{:>12.0}", r.calls_per_sec);
     }
     println!("   (trace replay, compiled plans)");
-    print!("{:<22}", "  metrics-on");
-    for r in &rows {
-        print!("{:>12.0}", r.calls_per_sec_metrics_on);
-    }
-    println!("   (same replay, telemetry gate on)");
     print!("{:<22}", "  repair-mode");
     for r in &rows {
         print!("{:>12.0}", r.calls_per_sec_repair);

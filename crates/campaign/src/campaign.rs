@@ -419,7 +419,7 @@ mod tests {
         // image that ran them.
         let libc = Libc::standard();
         let ballista = Ballista::new().with_functions(&["closedir"]).with_cap(50);
-        let decls = ballista.analyze_targets(&libc);
+        let decls = healers_core::analyze(&libc, &["closedir"]);
         let campaign = Campaign::new(&CampaignConfig::default()).unwrap();
         let (report, metrics, stats) =
             campaign.evaluate_traced(&libc, &ballista, Mode::FullAuto, decls);

@@ -20,7 +20,6 @@ use healers_os::OpenFlags;
 use healers_simproc::{Addr, SimFault, SimValue};
 use healers_typesys::TypeExpr;
 
-use healers_trace::metrics::{self, Counter};
 use healers_trace::recorder::flight;
 use healers_trace::Histogram;
 
@@ -607,9 +606,6 @@ impl WrapperBuilder {
                 entries,
                 config,
                 caps,
-                m_calls: metrics::global().counter("wrapper_calls_total"),
-                m_violations: metrics::global().counter("wrapper_violations_total"),
-                m_repairs: metrics::global().counter("wrapper_repairs_total"),
             }),
             tables: Tables::default(),
             check_cache: ValidityCache::default(),
@@ -756,12 +752,6 @@ struct Program {
     /// Capability snapshot of the config (plan-build capabilities ==
     /// check-evaluation capabilities).
     caps: CheckCapabilities,
-    /// Process-global metric handles, resolved once at build time so
-    /// the per-call cost on the hot path is one relaxed `fetch_add`
-    /// each — the registry lock is never taken per call.
-    m_calls: Arc<Counter>,
-    m_violations: Arc<Counter>,
-    m_repairs: Arc<Counter>,
 }
 
 /// The generated robustness wrapper: a drop-in layer over [`Libc`].
@@ -878,7 +868,6 @@ impl RobustnessWrapper {
         let name = self.program.entries[idx].name.as_str();
         let arg = failure.arg;
         self.stats.violations += 1;
-        self.program.m_violations.inc();
         // Violations are rare by construction (the hot path is the
         // admit side), so the flight recorder can afford a formatted
         // detail string here.
@@ -993,7 +982,6 @@ impl RobustnessWrapper {
         args: &'a [SimValue],
     ) -> PendingCall<'a> {
         self.stats.calls += 1;
-        self.program.m_calls.inc();
         let func = libc
             .get(name)
             .unwrap_or_else(|| panic!("undefined symbol: {name}"));
@@ -1144,27 +1132,17 @@ impl RobustnessWrapper {
     /// stays read-only (no errno, no logging, no per-call flight
     /// events), so a pre-resolved [`FnId`] can be driven through a
     /// shared world with zero name lookups and zero allocations per
-    /// call. The process-global registry counters are unconditional
-    /// relaxed adds; the only gated work is the latency clock read,
-    /// behind the same [`healers_trace::enabled`] gate as every other
-    /// wall-clock source. Returns whether the call would have been
-    /// admitted.
+    /// call. Returns whether the call would have been admitted.
     pub fn precheck(&mut self, world: &World, id: FnId, args: &[SimValue]) -> bool {
         let idx = id.0 as usize;
         self.stats.calls += 1;
-        self.program.m_calls.inc();
         if !self.program.entries[idx].wrapped {
             return true;
         }
         self.stats.wrapped_calls += 1;
-        let started = healers_trace::enabled().then(Instant::now);
         let admitted = self.run_compiled(world, idx, args).is_ok();
         if !admitted {
             self.stats.violations += 1;
-            self.program.m_violations.inc();
-        }
-        if let Some(s) = started {
-            metrics::global().record_timing("wrapper_precheck_ns", s.elapsed().as_nanos() as u64);
         }
         admitted
     }
@@ -1299,7 +1277,6 @@ impl RobustnessWrapper {
                 return Err(failure);
             };
             self.stats.repairs += 1;
-            self.program.m_repairs.inc();
             self.stats.check_outcomes.record_repair(failure.kind);
             flight().record(
                 "check-repair",

@@ -1,5 +1,4 @@
-//! C type model, declaration parser, and data layout for the HEALERS target
-//! machine.
+//! C type model and declaration parser for the HEALERS target machine.
 //!
 //! HEALERS ("An Automated Approach to Increasing the Robustness of C
 //! Libraries", DSN 2002) extracts the C type of every global function of a
@@ -11,10 +10,10 @@
 //! * [`FunctionPrototype`] — the parsed prototype of a library function,
 //! * [`parse`] — a recursive-descent parser for C declarations as they
 //!   appear in real header files (storage classes, qualifiers, GNU
-//!   attributes, typedef names),
-//! * [`layout`] — sizes and alignments on the simulated ILP32 target, which
-//!   matches the paper's 32-bit SUSE Linux 7.2 machine (so `struct tm` is
-//!   exactly the 44 bytes the paper reports for `asctime`).
+//!   attributes, typedef names).
+//!
+//! Object sizes on the simulated target (`struct tm`'s 44 bytes, `FILE`'s
+//! 148) live with the objects themselves in `healers-libc`.
 //!
 //! # Examples
 //!
@@ -30,12 +29,10 @@
 //! assert_eq!(proto.params[1].name.as_deref(), Some("__src"));
 //! ```
 
-pub mod layout;
 pub mod parse;
 pub mod proto;
 pub mod types;
 
-pub use layout::{StructLayout, TargetLayout};
 pub use parse::{parse_declarations, parse_prototype, ParseError};
 pub use proto::{FunctionPrototype, Param};
 pub use types::{CType, Primitive};

@@ -138,8 +138,7 @@ pub enum CType {
         /// Whether the pointee is `const`-qualified.
         is_const: bool,
     },
-    /// A named struct/union/enum (`struct tm`). The body is not modeled;
-    /// layout is looked up by name in [`crate::layout::TargetLayout`].
+    /// A named struct/union/enum (`struct tm`). The body is not modeled.
     Tagged {
         /// struct / union / enum.
         kind: TagKind,

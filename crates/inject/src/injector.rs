@@ -151,15 +151,12 @@ impl<'l> FaultInjector<'l> {
         };
 
         let mut records: Vec<CallRecord> = Vec::new();
-        // Resolved once per campaign; each fault is then one relaxed add.
-        let m_faults = healers_trace::metrics::global().counter("inject_faults_total");
         // Only the records kept — not the adaptive probes the search
         // discards — enter the flight recorder, and only resolved
         // faults: the benign majority of injected calls would otherwise
         // drown the ring.
         let mut keep = |record: CallRecord| {
             if let Some(site) = &record.provenance {
-                m_faults.inc();
                 let what = match record.arg_index {
                     Some(i) => format!("arg {i} {}", record.label),
                     None => record.label.clone(),

@@ -1,12 +1,12 @@
 //! `FILE` object marshaling.
 //!
-//! A `FILE` is a 148-byte structure living in *simulated memory* (see the
-//! layout registered in [`healers_ctypes::layout`]). Keeping the object in
-//! simulated memory — rather than in Rust state — is essential to
-//! faithfulness: a corrupted or garbage `FILE*` behaves exactly like on a
-//! real machine (e.g. `fileno` returns whatever garbage integer happens to
-//! be at offset 56), which is what both the fault injector and the
-//! wrapper's `fileno`+`fstat` validity check exercise.
+//! A `FILE` is a 148-byte structure ([`FILE_SIZE`]) living in *simulated
+//! memory*. Keeping the object in simulated memory — rather than in Rust
+//! state — is essential to faithfulness: a corrupted or garbage `FILE*`
+//! behaves exactly like on a real machine (e.g. `fileno` returns whatever
+//! garbage integer happens to be at offset 56), which is what both the
+//! fault injector and the wrapper's `fileno`+`fstat` validity check
+//! exercise.
 
 use healers_simproc::{Addr, SimFault, SimProcess};
 

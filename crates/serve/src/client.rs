@@ -245,11 +245,8 @@ pub fn render_stats_deterministic(s: &StatsReply) -> String {
 /// Render a stats reply in the Prometheus text exposition format —
 /// `healers serve stats --prom`. Totals and per-function outcomes
 /// become labelled counters, queue high-water a gauge, and timings
-/// (when present) summary quantiles, mirroring
-/// [`healers_trace::metrics::MetricsRegistry::render_prometheus`] for
-/// wire-carried data.
+/// (when present) summary quantiles.
 pub fn render_stats_prometheus(s: &StatsReply) -> String {
-    use healers_trace::metrics::prom_name;
     use std::fmt::Write as _;
     let mut out = String::new();
     for (name, value) in &s.totals {
@@ -306,6 +303,26 @@ pub fn render_stats_prometheus(s: &StatsReply) -> String {
         let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", t.p50);
         let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", t.p99);
         let _ = writeln!(out, "{name}_count {}", t.count);
+    }
+    out
+}
+
+/// Sanitise a metric name for the Prometheus exposition format:
+/// every character outside `[a-zA-Z0-9_:]` becomes `_`, and a leading
+/// digit is prefixed with `_`.
+fn prom_name(name: &str) -> String {
+    let mut out: String = name
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
+        out.insert(0, '_');
     }
     out
 }
@@ -386,6 +403,16 @@ mod tests {
             text,
             "requests 3\nvalidates 2\nfn strlen admitted 1 rejected 1 unchecked 0\n"
         );
+    }
+
+    #[test]
+    fn prom_name_sanitises_to_the_exposition_alphabet() {
+        assert_eq!(
+            prom_name("healers_serve_queue depth!"),
+            "healers_serve_queue_depth_"
+        );
+        assert_eq!(prom_name("a:b_1"), "a:b_1");
+        assert_eq!(prom_name("9lives"), "_9lives");
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * [`json`] — the workspace's hand-rolled JSON emitter and
 //!   validating parser (moved here from healers-campaign so every
 //!   exporter shares one implementation);
-//! * [`metrics`] — the live observability plane: a process-global
-//!   [`MetricsRegistry`] of named counters/gauges/histograms with
-//!   Prometheus-text and JSON exposition (`healers serve stats`,
-//!   campaign `--progress`);
+//! * [`metrics`] — a process-global [`MetricsRegistry`] of named
+//!   counters; it holds only the campaign's progress counters, which
+//!   the `healers campaign --progress` heartbeat samples;
 //! * [`recorder`] — the fault [`FlightRecorder`]: a fixed-capacity
 //!   ring buffer of recent structured events (check failures, injected
 //!   faults, frame errors, queue sheds), snapshotted on crashes and
@@ -41,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use chrome::ChromeTrace;
 pub use hist::Histogram;
-pub use metrics::{Counter, Gauge, MetricsRegistry};
+pub use metrics::{Counter, MetricsRegistry};
 pub use recorder::{FlightEvent, FlightRecorder};
 
 /// The process-global telemetry gate. Off by default.

@@ -1,37 +1,21 @@
-//! Process-global metrics plane: named counters, gauges, and gated
-//! latency histograms.
+//! Process-global named counters: the live progress of a campaign.
 //!
-//! The wrapper's `WrapperStats`, the serve daemon's `ServeCounters`,
-//! and the campaign's `CampaignMetrics` are all *session-scoped*: they
-//! answer "what happened in this run" after the run ends. The
+//! The wrapper's `WrapperStats`, the serve daemon's `StatsHub`, and the
+//! campaign's `CampaignMetrics` are all *session-scoped*: they answer
+//! "what happened in this run" after the run ends. The
 //! [`MetricsRegistry`] is the live complement — a process-global table
-//! of named metrics any layer can bump and any observer can snapshot
-//! while the process is running (`healers serve stats`, the campaign
-//! `--progress` heartbeat).
+//! of named counters that workers bump while an observer samples them.
+//! Its one observer is the `healers campaign --progress` heartbeat,
+//! which reads `campaign_analyzed_total`, `campaign_evaluated_total`
+//! and `campaign_faults_total` while the workers run.
 //!
 //! # Cost model
 //!
 //! A [`Counter`] is one `AtomicU64`; incrementing it is a single
-//! `Relaxed` `fetch_add` — cheap enough to live unconditionally on the
-//! zero-alloc `precheck` hot path. Registration (name lookup) takes a
-//! lock, so hot paths resolve their `Arc<Counter>` handle **once** at
-//! construction time and keep it; the per-event cost is then exactly
-//! the atomic add. Anything that reads a clock ([`MetricsRegistry::
-//! record_timing`]) hides behind the [`crate::enabled`] gate, same as
-//! the rest of the telemetry layer.
-//!
-//! # Determinism
-//!
-//! Counters and gauges bump on *logical* events (a validate admitted, a
-//! frame decoded, a fault injected), so for a fixed workload the
-//! snapshot of the deterministic subset is byte-identical regardless of
-//! `--jobs` / `--workers`. Timing histograms are wall-clock derived and
-//! therefore opt-in, exactly like `report --timings`. Snapshots iterate
-//! a `BTreeMap`, so rendering order is the sorted name order — stable
-//! across runs and platforms.
+//! `Relaxed` `fetch_add`. Registration (name lookup) takes a lock, so
+//! a caller that bumps a counter often resolves its `Arc<Counter>`
+//! handle once and keeps it.
 
-use crate::hist::Histogram;
-use crate::json::JsonObject;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -58,44 +42,14 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
-/// A last-value-wins (or high-water-mark) instantaneous measurement.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Set the current value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the value to `v` if `v` is larger (high-water mark).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A named table of [`Counter`]s, [`Gauge`]s, and latency
-/// [`Histogram`]s. See the module docs for the cost and determinism
-/// contracts. Most code uses the process-wide [`global`] instance;
-/// tests construct their own to stay isolated from parallel tests.
+/// A named table of [`Counter`]s. Most code uses the process-wide
+/// [`global`] instance; tests construct their own to stay isolated
+/// from parallel tests.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    timings: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -105,7 +59,7 @@ impl MetricsRegistry {
     }
 
     /// Register-or-get the counter named `name`. Takes a lock: call
-    /// once at construction time and keep the `Arc` for hot paths.
+    /// once and keep the `Arc` where a counter is bumped often.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut map = self.counters.lock().unwrap();
         Arc::clone(
@@ -113,138 +67,9 @@ impl MetricsRegistry {
                 .or_insert_with(|| Arc::new(Counter::default())),
         )
     }
-
-    /// Register-or-get the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::default())),
-        )
-    }
-
-    /// Record one latency sample into the histogram named `name`.
-    /// Callers gate the *clock read* behind [`crate::enabled`]; this
-    /// method records unconditionally so tests can drive it directly.
-    pub fn record_timing(&self, name: &str, nanos: u64) {
-        let mut map = self.timings.lock().unwrap();
-        map.entry(name.to_string()).or_default().record(nanos);
-    }
-
-    /// All counters as sorted `(name, value)` pairs — the
-    /// deterministic subset of a snapshot.
-    pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
-        let map = self.counters.lock().unwrap();
-        map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// All gauges as sorted `(name, value)` pairs.
-    pub fn gauge_snapshot(&self) -> Vec<(String, u64)> {
-        let map = self.gauges.lock().unwrap();
-        map.iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
-    /// All timing histograms, sorted by name.
-    pub fn timing_snapshot(&self) -> Vec<(String, Histogram)> {
-        let map = self.timings.lock().unwrap();
-        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-    }
-
-    /// Zero every counter and gauge and drop every histogram. Test and
-    /// campaign-start hygiene; live observers never call this.
-    pub fn reset(&self) {
-        for c in self.counters.lock().unwrap().values() {
-            c.reset();
-        }
-        for g in self.gauges.lock().unwrap().values() {
-            g.set(0);
-        }
-        self.timings.lock().unwrap().clear();
-    }
-
-    /// Render the registry in the Prometheus text exposition format:
-    /// one `# TYPE` line per metric, counters as `counter`, gauges as
-    /// `gauge`, and (when `include_timings`) histograms as `summary`
-    /// quantiles. Names are sanitised to `[a-zA-Z0-9_:]`.
-    pub fn render_prometheus(&self, include_timings: bool) -> String {
-        let mut out = String::new();
-        for (name, value) in self.counter_snapshot() {
-            let name = prom_name(&name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-        }
-        for (name, value) in self.gauge_snapshot() {
-            let name = prom_name(&name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
-        }
-        if include_timings {
-            for (name, hist) in self.timing_snapshot() {
-                let name = prom_name(&name);
-                out.push_str(&format!("# TYPE {name} summary\n"));
-                for (q, p) in [("0.5", 50.0), ("0.99", 99.0)] {
-                    out.push_str(&format!(
-                        "{name}{{quantile=\"{q}\"}} {}\n",
-                        hist.percentile(p)
-                    ));
-                }
-                out.push_str(&format!("{name}_count {}\n", hist.count()));
-            }
-        }
-        out
-    }
-
-    /// Render the registry as one JSON object:
-    /// `{"counters":{...},"gauges":{...}[,"timings":{...}]}`.
-    pub fn render_json(&self, include_timings: bool) -> String {
-        let mut counters = JsonObject::new();
-        for (name, value) in self.counter_snapshot() {
-            counters = counters.u64(&name, value);
-        }
-        let mut gauges = JsonObject::new();
-        for (name, value) in self.gauge_snapshot() {
-            gauges = gauges.u64(&name, value);
-        }
-        let mut doc = JsonObject::new()
-            .raw("counters", &counters.finish())
-            .raw("gauges", &gauges.finish());
-        if include_timings {
-            let mut timings = JsonObject::new();
-            for (name, hist) in self.timing_snapshot() {
-                let entry = JsonObject::new()
-                    .u64("count", hist.count())
-                    .u64("p50", hist.percentile(50.0))
-                    .u64("p99", hist.percentile(99.0))
-                    .finish();
-                timings = timings.raw(&name, &entry);
-            }
-            doc = doc.raw("timings", &timings.finish());
-        }
-        doc.finish()
-    }
 }
 
-/// Sanitise a metric name for the Prometheus exposition format:
-/// every character outside `[a-zA-Z0-9_:]` becomes `_`, and a leading
-/// digit is prefixed with `_`. Shared with the serve stats client,
-/// which renders wire-carried counters in the same format.
-pub fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-/// The process-global registry. Hot paths resolve handles from it once
-/// ([`MetricsRegistry::counter`]) and keep the `Arc`.
+/// The process-global registry.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)
@@ -253,10 +78,9 @@ pub fn global() -> &'static MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
-    fn counters_accumulate_and_snapshot_sorted() {
+    fn counters_accumulate_by_name() {
         let reg = MetricsRegistry::new();
         let b = reg.counter("b_total");
         let a = reg.counter("a_total");
@@ -264,73 +88,9 @@ mod tests {
         b.inc();
         // Register-or-get returns the same underlying counter.
         reg.counter("a_total").inc();
-        assert_eq!(
-            reg.counter_snapshot(),
-            vec![("a_total".to_string(), 4), ("b_total".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn gauge_set_and_high_water() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("depth");
-        g.set(5);
-        g.record_max(3);
-        assert_eq!(g.get(), 5);
-        g.record_max(9);
-        assert_eq!(g.get(), 9);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_registrations() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("n");
-        c.add(7);
-        reg.gauge("g").set(2);
-        reg.record_timing("lat", 100);
-        reg.reset();
-        assert_eq!(c.get(), 0, "held handles see the reset");
-        assert_eq!(reg.gauge_snapshot(), vec![("g".to_string(), 0)]);
-        assert!(reg.timing_snapshot().is_empty());
-    }
-
-    #[test]
-    fn prometheus_rendering_is_well_formed() {
-        let reg = MetricsRegistry::new();
-        reg.counter("serve_frames_total").add(10);
-        reg.gauge("queue depth!").set(3);
-        reg.record_timing("validate_ns", 900);
-        let text = reg.render_prometheus(true);
-        assert!(text.contains("# TYPE serve_frames_total counter\n"));
-        assert!(text.contains("serve_frames_total 10\n"));
-        // Invalid characters sanitised.
-        assert!(text.contains("queue_depth_ 3\n"));
-        assert!(text.contains("validate_ns{quantile=\"0.5\"} 1023\n"));
-        assert!(text.contains("validate_ns_count 1\n"));
-        // Every line is `# TYPE name kind` or `name[{labels}] value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# TYPE ") || line.split_whitespace().count() == 2,
-                "malformed exposition line {line:?}"
-            );
-        }
-        // Timings are opt-in.
-        assert!(!reg.render_prometheus(false).contains("quantile"));
-    }
-
-    #[test]
-    fn json_rendering_validates() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a").add(1);
-        reg.gauge("g").set(2);
-        reg.record_timing("t", 5);
-        let doc = reg.render_json(true);
-        json::validate(&doc).unwrap();
-        assert!(doc.contains("\"counters\":{\"a\":1}"));
-        assert!(doc.contains("\"p50\":7"));
-        let doc = reg.render_json(false);
-        json::validate(&doc).unwrap();
-        assert!(!doc.contains("timings"));
+        assert_eq!(reg.counter("a_total").get(), 4);
+        assert_eq!(reg.counter("b_total").get(), 1);
+        assert_eq!(reg.counter("c_total").get(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`healers_campaign`] — parallel campaign orchestration, declaration cache, event journal
 //! * [`healers_fuzz`] — coverage-guided API-sequence fuzzer with shrinking and pinning
 //! * [`healers_serve`] — hardening-as-a-service daemon: framed binary protocol over Arc-shared wrapper plans
-//! * [`healers_trace`] — telemetry core: latency histograms, Chrome trace export, metrics registry, flight recorder
+//! * [`healers_trace`] — telemetry core: latency histograms, Chrome trace export, campaign-progress counters, flight recorder
 
 pub mod error;
 pub mod prelude;

@@ -324,20 +324,19 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
         eprintln!("{metrics}");
         decls = d;
     }
+    // Stdout streams as each view is ready; with `--out FILE` the same
+    // bytes are collected and written to FILE at the end instead.
+    let mut collected = String::new();
+    let mut emit = |text: &str| match out {
+        Some(_) => collected.push_str(text),
+        None => print!("{text}"),
+    };
     if analysis_only {
-        let text = if mode == "decls" {
+        emit(&if mode == "decls" {
             decls_to_xml(&decls)
         } else {
             render_table1(&decls)
-        };
-        match &out {
-            Some(path) => {
-                std::fs::write(path, &text).map_err(|e| {
-                    Error::io(format!("campaign: cannot write {}", path.display()), e)
-                })?;
-            }
-            None => print!("{text}"),
-        }
+        });
     }
 
     let mut ballista = Ballista::new().with_functions(&name_refs).with_cap(cap);
@@ -349,12 +348,16 @@ fn cmd_campaign(rest: &[String], seed: Option<u64>) -> Result<(), Error> {
     }
     for m in modes {
         let (report, metrics) = campaign.evaluate(&libc, &ballista, m, decls.clone());
-        println!("{}", report.render());
+        emit(&format!("{}\n", report.render()));
         let failing = report.functions_with_failures();
         if !failing.is_empty() {
-            println!("    still failing: {}", failing.join(", "));
+            emit(&format!("    still failing: {}\n", failing.join(", ")));
         }
         eprintln!("{metrics}");
+    }
+    if let Some(path) = &out {
+        std::fs::write(path, &collected)
+            .map_err(|e| Error::io(format!("campaign: cannot write {}", path.display()), e))?;
     }
 
     if let Some(handle) = monitor {

@@ -40,8 +40,9 @@ fn campaign_output_is_byte_identical_to_the_serial_pipeline() {
 #[test]
 fn evaluation_reports_are_worker_count_invariant() {
     let libc = Libc::standard();
+    let names = ["strcpy", "strlen", "abs", "fgetc"];
     let ballista = Ballista::new()
-        .with_functions(&["strcpy", "strlen", "abs", "fgetc"])
+        .with_functions(&names)
         .with_cap(60)
         .with_seed(42);
     let run = |jobs: usize| {
@@ -50,7 +51,7 @@ fn evaluation_reports_are_worker_count_invariant() {
             ..CampaignConfig::default()
         })
         .unwrap();
-        let decls = ballista.analyze_targets(&libc);
+        let decls = analyze(&libc, &names);
         let mut renders = Vec::new();
         for mode in [Mode::Unwrapped, Mode::FullAuto, Mode::SemiAuto] {
             let (report, _) = campaign.evaluate(&libc, &ballista, mode, decls.clone());
@@ -92,11 +93,12 @@ fn serial_runner_matches_campaign_evaluation_exactly() {
     // evaluation at any worker count — not merely a different
     // deterministic sample.
     let libc = Libc::standard();
+    let names = ["strcpy", "strlen", "abs", "fgetc", "closedir"];
     let ballista = Ballista::new()
-        .with_functions(&["strcpy", "strlen", "abs", "fgetc", "closedir"])
+        .with_functions(&names)
         .with_cap(60)
         .with_seed(7);
-    let decls = ballista.analyze_targets(&libc);
+    let decls = analyze(&libc, &names);
     for mode in [Mode::Unwrapped, Mode::FullAuto, Mode::SemiAuto] {
         let serial = serial_report(&ballista, &libc, mode, decls.clone()).render();
         for jobs in [1, 8] {
@@ -201,11 +203,12 @@ fn telemetry_counters_are_worker_count_invariant() {
     // report` prints by default — must not depend on `--jobs`. (The
     // latency histograms are empty here: the telemetry gate is off.)
     let libc = Libc::standard();
+    let names = ["strcpy", "strlen", "fclose"];
     let ballista = Ballista::new()
-        .with_functions(&["strcpy", "strlen", "fclose"])
+        .with_functions(&names)
         .with_cap(20)
         .with_seed(42);
-    let decls = ballista.analyze_targets(&libc);
+    let decls = analyze(&libc, &names);
     let run = |jobs: usize| {
         let campaign = Campaign::new(&CampaignConfig {
             jobs,

@@ -1,6 +1,7 @@
 //! CLI contract tests: the usage listing enumerates every subcommand,
-//! misuse exits with status 2, and `healers report` output is
-//! byte-identical across worker counts.
+//! misuse exits with status 2, `healers report` output is
+//! byte-identical across worker counts, `campaign --out` writes what
+//! stdout would get, and `campaign --progress` reports on stderr only.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
@@ -190,4 +191,36 @@ fn explain_names_the_faulting_page_run_and_heap_block() {
     // campaign's resolved faults are events, so strcpy must appear.
     assert!(text.contains("flight recorder ("), "{text}");
     assert!(text.contains("fault-injected strcpy"), "{text}");
+}
+
+#[test]
+fn campaign_out_writes_the_evaluation_to_the_file_not_stdout() {
+    let path = std::env::temp_dir().join(format!("healers-cli-out-{}.txt", std::process::id()));
+    let file = path.to_str().expect("UTF-8 temp path");
+    let out = healers(&["campaign", "--mode", "all", "--jobs", "2", "--out", file]);
+    assert!(out.status.success(), "{:?}", out);
+    assert!(
+        out.stdout.is_empty(),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let written = std::fs::read_to_string(&path).expect("--out file written");
+    let _ = std::fs::remove_file(&path);
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig6.reject.txt");
+    assert_eq!(written, std::fs::read_to_string(golden).unwrap());
+}
+
+#[test]
+fn campaign_progress_reports_on_stderr_and_leaves_stdout_alone() {
+    let base = ["campaign", "--mode", "full", "--cap", "5"];
+    let plain = healers(&[&base[..], &["strlen", "abs"]].concat());
+    let watched = healers(&[&base[..], &["--progress", "strlen", "abs"]].concat());
+    assert!(plain.status.success() && watched.status.success());
+    assert!(!plain.stdout.is_empty());
+    assert_eq!(plain.stdout, watched.stdout);
+    let stderr = String::from_utf8(watched.stderr).unwrap();
+    assert!(
+        stderr.contains("progress final: analyzed 2/2 | evaluated 2"),
+        "{stderr}"
+    );
 }

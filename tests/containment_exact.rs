@@ -196,7 +196,8 @@ fn with_named_statics(libc: &Libc, world: &World) -> World {
 /// on the prepared world or, with `statics`, on a copy of it that holds
 /// named static buffers. Returns how many tests ran.
 fn check_against_reference(libc: &Libc, b: &Ballista, statics: bool) -> usize {
-    let decls = b.analyze_targets(libc);
+    let names: Vec<&str> = b.functions().iter().map(String::as_str).collect();
+    let decls = healers::core::analyze(libc, &names);
     let mut tests = 0;
     for mode in Mode::ALL {
         let decls = match mode {

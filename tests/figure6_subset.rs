@@ -4,7 +4,7 @@
 
 use healers::ballista::{Ballista, BallistaReport, Mode};
 use healers::campaign::{Campaign, CampaignConfig};
-use healers::core::FunctionDecl;
+use healers::core::{analyze, FunctionDecl};
 use healers::libc::Libc;
 
 /// One representative per family: string copy, string scan, stdio
@@ -40,7 +40,7 @@ fn evaluate(
 fn wrapper_configurations_are_strictly_ordered() {
     let ballista = Ballista::new().with_functions(SUBSET).with_cap(120);
     let libc = Libc::standard();
-    let decls = ballista.analyze_targets(&libc);
+    let decls = analyze(&libc, SUBSET);
 
     let unwrapped = evaluate(&ballista, &libc, Mode::Unwrapped, decls.clone());
     let full = evaluate(&ballista, &libc, Mode::FullAuto, decls.clone());
@@ -71,11 +71,10 @@ fn wrapper_configurations_are_strictly_ordered() {
 
 #[test]
 fn never_crashing_functions_stay_clean_in_every_configuration() {
-    let ballista = Ballista::new()
-        .with_functions(&["lseek", "abs"])
-        .with_cap(80);
+    let names = ["lseek", "abs"];
+    let ballista = Ballista::new().with_functions(&names).with_cap(80);
     let libc = Libc::standard();
-    let decls = ballista.analyze_targets(&libc);
+    let decls = analyze(&libc, &names);
     for mode in [Mode::Unwrapped, Mode::FullAuto, Mode::SemiAuto] {
         let report = evaluate(&ballista, &libc, mode, decls.clone());
         assert_eq!(report.totals().failures(), 0, "{mode:?}");
@@ -84,11 +83,10 @@ fn never_crashing_functions_stay_clean_in_every_configuration() {
 
 #[test]
 fn results_are_deterministic() {
-    let ballista = Ballista::new()
-        .with_functions(&["strcpy", "fgetc"])
-        .with_cap(60);
+    let names = ["strcpy", "fgetc"];
+    let ballista = Ballista::new().with_functions(&names).with_cap(60);
     let libc = Libc::standard();
-    let decls = ballista.analyze_targets(&libc);
+    let decls = analyze(&libc, &names);
     let a = evaluate(&ballista, &libc, Mode::FullAuto, decls.clone());
     let b = evaluate(&ballista, &libc, Mode::FullAuto, decls);
     assert_eq!(a.totals(), b.totals());
@@ -102,12 +100,13 @@ fn seed_changes_sampling_but_not_the_headline() {
     // For a function whose cross product exceeds the cap, different
     // seeds sample different vectors — but semi-auto stays at zero.
     let libc = Libc::standard();
+    let names = ["fread", "strncpy"];
     for seed in [1u64, 2, 3] {
         let ballista = Ballista::new()
-            .with_functions(&["fread", "strncpy"])
+            .with_functions(&names)
             .with_cap(60)
             .with_seed(seed);
-        let decls = ballista.analyze_targets(&libc);
+        let decls = analyze(&libc, &names);
         let semi = evaluate(&ballista, &libc, Mode::SemiAuto, decls);
         assert_eq!(semi.totals().failures(), 0, "seed {seed}");
     }

@@ -5,7 +5,6 @@
 //! be at least as protective as the weaker ones.
 
 use healers::ballista::pools::{param_kind, prepare, ParamKind};
-use healers::ballista::Ballista;
 use healers::core::{analyze, WrapperBuilder, WrapperConfig};
 use healers::libc::{Libc, World};
 use healers::simproc::SimValue;
@@ -72,10 +71,7 @@ fn per_function_wrapping_only_protects_the_chosen_functions() {
     // wrapped". Wrapping only strcpy leaves strlen exposed — and the
     // Ballista comparison shows exactly that.
     let libc = Libc::standard();
-    let ballista = Ballista::new()
-        .with_functions(&["strcpy", "strlen"])
-        .with_cap(60);
-    let decls = ballista.analyze_targets(&libc);
+    let decls = analyze(&libc, &["strcpy", "strlen"]);
 
     let config = WrapperConfig {
         enabled: Some(["strcpy".to_string()].into_iter().collect()),
