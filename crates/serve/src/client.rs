@@ -5,7 +5,7 @@
 //! (`healers serve exec`, tests, bench). It enforces the protocol's
 //! one-response-per-request batching invariant and hands back both the
 //! decoded responses and the **exact reply bytes**, which is what the
-//! CI determinism job diffs across `--workers` values.
+//! serve goldens pin at every `--workers` value.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -159,8 +159,8 @@ pub fn render(frames: &[Vec<Response>]) -> String {
                 Response::Error { message } => {
                     let _ = writeln!(out, "  error: {message}");
                 }
-                // Script transcripts are byte-diffed across worker
-                // counts, so render only the deterministic subset of a
+                // Script transcripts are pinned at every worker
+                // count, so render only the deterministic subset of a
                 // stats reply; `healers serve stats` shows the rest.
                 Response::Stats(s) => {
                     out.push_str("  stats:\n");
@@ -225,7 +225,7 @@ pub fn render_stats(s: &StatsReply) -> String {
 
 /// Render only the deterministic subset of a stats reply — byte-stable
 /// for any `--workers` value given the same sequential client traffic.
-/// The CI stats-smoke job diffs this view across worker counts.
+/// `tests/golden/serve.stats.txt` pins this view at 1 and 4 workers.
 pub fn render_stats_deterministic(s: &StatsReply) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();

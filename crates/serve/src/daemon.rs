@@ -20,7 +20,25 @@
 //! * **replies** — responses are written with blocking I/O straight to
 //!   the connection; a slow reader blocks its worker (throttling that
 //!   one connection) instead of growing a daemon-side buffer. Daemon
-//!   memory per connection is O(max frame length).
+//!   memory per connection is O(max frame length): one payload buffer
+//!   and one reply buffer, both reused from frame to frame.
+//!
+//! # The frame path
+//!
+//! [`serve_session`] is the only path a request takes, whatever its
+//! kind and whether the telemetry gate is on. It reads a frame into the
+//! reused payload buffer, decodes each message in place
+//! ([`RequestRef`]), answers it — a validate through
+//! [`ServePlans::check`], whose verdict borrows its notation — and
+//! encodes the answer in place into the reused reply buffer, then
+//! writes the reply frame with one `write_all`. A frame of validates
+//! allocates nothing in steady state (`INV-SERVE-ZERO-ALLOC`,
+//! `tests/serve_zero_alloc.rs`), and hostile bytes never panic it
+//! (`INV-SERVE-HOSTILE-BYTES`, `tests/hostile_bytes.rs`). The session
+//! adds a frame's counts to the daemon-global [`ServeCounters`] and
+//! its worker's counters in one batch, before any `Stats` request in
+//! the frame runs and before the reply is written, so a sequential
+//! client reads the same numbers as if each request had added its own.
 //!
 //! # Why this worker model is TOCTOU-free by construction
 //!
@@ -49,13 +67,12 @@ use healers_trace::Histogram;
 
 use healers_trace::recorder::flight;
 
-use crate::frame::{
-    encode_frame, read_frame, write_frame, FrameError, Limits, DIR_REQUEST, DIR_RESPONSE,
-};
+use crate::frame::{read_frame_into, FrameEncoder, FrameError, Limits, DIR_REQUEST, DIR_RESPONSE};
 use crate::plans::ServePlans;
 use crate::proto::{
-    FnOutcome, Request, Response, StatsReply, TimingStat, ValidateVerdict, WorkerStat,
+    FnOutcome, RequestRef, Response, StatsReply, TimingStat, VerdictRef, WorkerStat,
 };
+use healers_simproc::SimValue;
 
 /// A serveable connection: blocking byte stream, movable to a worker.
 pub trait Conn: Read + Write + Send {}
@@ -169,11 +186,12 @@ impl Default for DaemonConfig {
 }
 
 /// Daemon-global counters. Exposed over the wire only through
-/// [`Request::Stats`], whose reply is explicitly daemon-scoped — every
+/// [`Request::Stats`](crate::Request::Stats), whose reply is explicitly daemon-scoped — every
 /// *other* reply stays a pure function of one connection's requests
 /// (see the crate-level determinism contract). The deterministic
 /// subset ([`ServeCounters::deterministic_totals`]) counts logical
-/// events, so it is still byte-identical for any `--workers`.
+/// events, so it is still byte-identical for any `--workers`. Sessions
+/// add their counts once per frame (see [the frame path](self#the-frame-path)).
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     /// Connections accepted and queued.
@@ -242,7 +260,7 @@ struct WorkerCells {
     requests: AtomicU64,
 }
 
-/// The daemon-wide live statistics hub backing [`Request::Stats`]:
+/// The daemon-wide live statistics hub backing [`Request::Stats`](crate::Request::Stats):
 /// per-function validate outcomes (deterministic, plan order),
 /// per-worker frame/request counters, and the connection-queue
 /// high-water mark (both live scheduling state, outside the
@@ -250,7 +268,6 @@ struct WorkerCells {
 #[derive(Debug)]
 pub struct StatsHub {
     fn_names: Vec<String>,
-    fn_index: std::collections::BTreeMap<String, usize>,
     /// `[admitted, rejected, unchecked]` per function, plan order.
     fn_outcomes: Vec<[AtomicU64; 3]>,
     workers: Vec<WorkerCells>,
@@ -264,11 +281,6 @@ impl StatsHub {
     pub fn new(functions: &[String], workers: usize) -> StatsHub {
         StatsHub {
             fn_names: functions.to_vec(),
-            fn_index: functions
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.clone(), i))
-                .collect(),
             fn_outcomes: functions.iter().map(|_| Default::default()).collect(),
             workers: (0..workers.max(1))
                 .map(|_| WorkerCells::default())
@@ -278,20 +290,21 @@ impl StatsHub {
         }
     }
 
-    fn record_outcome(&self, function: &str, verdict: &ValidateVerdict) {
-        let Some(&i) = self.fn_index.get(function) else {
-            return;
-        };
+    /// Tally `verdict` for the function at index `function` of the
+    /// plan order.
+    fn record_outcome(&self, function: usize, verdict: VerdictRef<'_>) {
         let cell = match verdict {
-            ValidateVerdict::Admit => 0,
+            VerdictRef::Admit => 0,
             // A repair hint is still a failed validation; it lands in
             // the reject column so the deterministic stats are
             // identical whether or not the hint gate is on.
-            ValidateVerdict::Reject { .. } | ValidateVerdict::WouldRepair { .. } => 1,
-            ValidateVerdict::AdmitUnchecked => 2,
-            ValidateVerdict::UnknownFunction => return,
+            VerdictRef::Reject { .. } | VerdictRef::WouldRepair { .. } => 1,
+            VerdictRef::AdmitUnchecked => 2,
+            VerdictRef::UnknownFunction => return,
         };
-        self.fn_outcomes[i][cell].fetch_add(1, Ordering::Relaxed);
+        if let Some(cells) = self.fn_outcomes.get(function) {
+            cells[cell].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn enqueue(&self) {
@@ -459,89 +472,192 @@ pub struct SessionOutcome {
     pub stats: SessionStats,
 }
 
-fn handle_request(
-    req: Request,
-    plans: &ServePlans,
-    stats: &mut SessionStats,
-    counters: &ServeCounters,
-    hub: &StatsHub,
-    telemetry: &ServeTelemetry,
-) -> (Response, bool) {
-    stats.requests += 1;
-    counters.requests.fetch_add(1, Ordering::Relaxed);
-    match req {
-        Request::Ping => {
-            stats.pings += 1;
-            (Response::Pong, false)
-        }
-        Request::Validate { function, args } => {
-            stats.validates += 1;
-            counters.validates.fetch_add(1, Ordering::Relaxed);
-            let mut ctrs = CheckCounters::default();
-            let verdict = plans.validate(&function, &args, &mut ctrs);
-            stats.checks += ctrs.table_hits + ctrs.run_probes + ctrs.nul_scans;
-            stats.run_probes += ctrs.run_probes;
-            stats.nul_scans += ctrs.nul_scans;
-            stats.bytes_scanned += ctrs.bytes_scanned;
-            hub.record_outcome(&function, &verdict);
-            match &verdict {
-                ValidateVerdict::Admit => {
-                    stats.admitted += 1;
-                    counters.admits.fetch_add(1, Ordering::Relaxed);
-                }
-                ValidateVerdict::AdmitUnchecked => {
-                    stats.admitted_unchecked += 1;
-                    counters.admits.fetch_add(1, Ordering::Relaxed);
-                }
-                ValidateVerdict::Reject { .. } | ValidateVerdict::WouldRepair { .. } => {
-                    stats.rejected += 1;
-                    counters.rejects.fetch_add(1, Ordering::Relaxed);
-                }
-                ValidateVerdict::UnknownFunction => stats.unknown_functions += 1,
+/// Counts of the frame being served that the daemon-global and
+/// per-worker counters have not seen yet. A session adds them once
+/// before a `Stats` request runs and once before the reply frame is
+/// written, so a sequential client reads the same counts as if every
+/// request had added its own.
+#[derive(Debug, Default)]
+struct Pending {
+    frames: u64,
+    requests: u64,
+    validates: u64,
+    admits: u64,
+    rejects: u64,
+    protocol_errors: u64,
+    worker_requests: u64,
+}
+
+impl Pending {
+    fn publish(&mut self, counters: &ServeCounters, cells: &WorkerCells) {
+        let Pending {
+            frames,
+            requests,
+            validates,
+            admits,
+            rejects,
+            protocol_errors,
+            worker_requests,
+        } = std::mem::take(self);
+        for (counter, n) in [
+            (&counters.frames, frames),
+            (&counters.requests, requests),
+            (&counters.validates, validates),
+            (&counters.admits, admits),
+            (&counters.rejects, rejects),
+            (&counters.protocol_errors, protocol_errors),
+            (&cells.frames, frames),
+            (&cells.requests, worker_requests),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
-            (Response::Validated(verdict), false)
         }
-        Request::Explain { function } => {
-            stats.explains += 1;
-            (
-                Response::Explained {
-                    info: plans.explain(&function),
-                },
-                false,
-            )
-        }
-        Request::Report => {
-            stats.reports += 1;
-            (
-                Response::Reported {
-                    counters: stats.as_counters(),
-                },
-                false,
-            )
-        }
-        Request::Shutdown => (Response::Bye, true),
-        Request::Stats { timings } => (
-            Response::Stats(hub.stats_reply(counters, telemetry, timings)),
-            false,
-        ),
     }
 }
 
-fn request_kind(req: &Request) -> &'static str {
-    match req {
-        Request::Ping => "ping",
-        Request::Validate { .. } => "validate",
-        Request::Explain { .. } => "explain",
-        Request::Report => "report",
-        Request::Shutdown => "shutdown",
-        Request::Stats { .. } => "stats",
+/// One connection's state: the daemon-wide state it reports to, and
+/// its own counters and reused argument vector.
+struct Session<'a> {
+    plans: &'a ServePlans,
+    counters: &'a ServeCounters,
+    telemetry: &'a ServeTelemetry,
+    hub: &'a StatsHub,
+    cells: &'a WorkerCells,
+    stats: SessionStats,
+    pending: Pending,
+    args: Vec<SimValue>,
+}
+
+impl Session<'_> {
+    /// Answer one request message by encoding its response into `out`;
+    /// returns whether it asked the daemon to shut down.
+    fn handle_message(&mut self, raw: &[u8], traced: bool, out: &mut Vec<u8>) -> bool {
+        let req = match RequestRef::decode(raw, &mut self.args) {
+            Ok(req) => req,
+            Err(e) => {
+                self.stats.errors += 1;
+                self.pending.protocol_errors += 1;
+                flight().record("frame-error", "", &format!("bad request: {e}"));
+                Response::Error {
+                    message: format!("bad request: {e}"),
+                }
+                .encode(out);
+                return false;
+            }
+        };
+        let started = traced.then(std::time::Instant::now);
+        let stop = self.handle_request(req, out);
+        self.pending.worker_requests += 1;
+        if let Some(s) = started {
+            self.telemetry
+                .record(request_kind(req), s.elapsed().as_nanos() as u64);
+        }
+        stop
     }
+
+    /// Count a frame-level protocol error, publish the pending counts
+    /// and answer with one error frame.
+    fn protocol_error(&mut self, conn: &mut dyn Conn, out: &mut Vec<u8>, reason: String) {
+        self.stats.errors += 1;
+        self.pending.protocol_errors += 1;
+        self.pending.publish(self.counters, self.cells);
+        flight().record("frame-error", "", &reason);
+        write_error(conn, out, format!("protocol error: {reason}"));
+    }
+
+    fn handle_request(&mut self, req: RequestRef<'_>, out: &mut Vec<u8>) -> bool {
+        let stats = &mut self.stats;
+        stats.requests += 1;
+        self.pending.requests += 1;
+        match req {
+            RequestRef::Ping => {
+                stats.pings += 1;
+                Response::Pong.encode(out);
+            }
+            RequestRef::Validate { function } => {
+                stats.validates += 1;
+                self.pending.validates += 1;
+                let mut ctrs = CheckCounters::default();
+                let outcome = self.plans.check(function, &self.args, &mut ctrs);
+                stats.checks += ctrs.table_hits + ctrs.run_probes + ctrs.nul_scans;
+                stats.run_probes += ctrs.run_probes;
+                stats.nul_scans += ctrs.nul_scans;
+                stats.bytes_scanned += ctrs.bytes_scanned;
+                if let Some(i) = outcome.function {
+                    self.hub.record_outcome(i, outcome.verdict);
+                }
+                match outcome.verdict {
+                    VerdictRef::Admit => {
+                        stats.admitted += 1;
+                        self.pending.admits += 1;
+                    }
+                    VerdictRef::AdmitUnchecked => {
+                        stats.admitted_unchecked += 1;
+                        self.pending.admits += 1;
+                    }
+                    VerdictRef::Reject { .. } | VerdictRef::WouldRepair { .. } => {
+                        stats.rejected += 1;
+                        self.pending.rejects += 1;
+                    }
+                    VerdictRef::UnknownFunction => stats.unknown_functions += 1,
+                }
+                outcome.verdict.encode(out);
+            }
+            RequestRef::Explain { function } => {
+                stats.explains += 1;
+                Response::Explained {
+                    info: self.plans.explain(function),
+                }
+                .encode(out);
+            }
+            RequestRef::Report => {
+                stats.reports += 1;
+                Response::Reported {
+                    counters: stats.as_counters(),
+                }
+                .encode(out);
+            }
+            RequestRef::Shutdown => {
+                Response::Bye.encode(out);
+                return true;
+            }
+            RequestRef::Stats { timings } => {
+                self.pending.publish(self.counters, self.cells);
+                Response::Stats(self.hub.stats_reply(self.counters, self.telemetry, timings))
+                    .encode(out);
+            }
+        }
+        false
+    }
+}
+
+fn request_kind(req: RequestRef<'_>) -> &'static str {
+    match req {
+        RequestRef::Ping => "ping",
+        RequestRef::Validate { .. } => "validate",
+        RequestRef::Explain { .. } => "explain",
+        RequestRef::Report => "report",
+        RequestRef::Shutdown => "shutdown",
+        RequestRef::Stats { .. } => "stats",
+    }
+}
+
+/// Write a one-message frame answering with `Response::Error`.
+fn write_error(conn: &mut (impl Write + ?Sized), out: &mut Vec<u8>, message: String) {
+    let mut frame = FrameEncoder::new(out, DIR_RESPONSE);
+    frame.message(|buf| Response::Error { message }.encode(buf));
+    let _ = conn.write_all(frame.finish()).and_then(|()| conn.flush());
 }
 
 /// Serve one connection to completion: frames strictly in order, one
 /// response message per request message, replies flushed before the
 /// next frame is read. `worker` indexes the hub's per-worker counters
 /// (pass 0 outside a worker pool).
+///
+/// This is the daemon's one frame path ([the frame path](self#the-frame-path)).
+/// Its payload and reply buffers stay bounded by
+/// [`Limits::max_frame_len`] between frames.
 pub fn serve_session(
     conn: &mut dyn Conn,
     plans: &ServePlans,
@@ -551,82 +667,57 @@ pub fn serve_session(
     hub: &StatsHub,
     worker: usize,
 ) -> SessionOutcome {
-    let mut stats = SessionStats::default();
+    let mut session = Session {
+        plans,
+        counters,
+        telemetry,
+        hub,
+        cells: &hub.workers[worker.min(hub.workers.len() - 1)],
+        stats: SessionStats::default(),
+        pending: Pending::default(),
+        args: Vec::new(),
+    };
     let mut shutdown = false;
-    let cells = &hub.workers[worker.min(hub.workers.len() - 1)];
-    'frames: loop {
-        let frame = match read_frame(conn, limits) {
-            Ok(f) => f,
+    let (mut payload, mut out) = (Vec::new(), Vec::new());
+    loop {
+        let frame = match read_frame_into(conn, limits, &mut payload) {
+            Ok(frame) if frame.direction == DIR_REQUEST => frame,
+            Ok(_) => {
+                session.protocol_error(conn, &mut out, "expected a request frame".to_string());
+                break;
+            }
             Err(FrameError::Eof) => break,
             Err(e) => {
                 // Malformed framing: answer with one error frame and
                 // close — resynchronizing an unframed byte stream is
                 // guesswork this protocol refuses to do.
-                stats.errors += 1;
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                flight().record("frame-error", "", &format!("{e}"));
-                let mut msg = Vec::new();
-                Response::Error {
-                    message: format!("protocol error: {e}"),
-                }
-                .encode(&mut msg);
-                let _ = write_frame(conn, DIR_RESPONSE, &[msg]);
+                session.protocol_error(conn, &mut out, format!("{e}"));
                 break;
             }
         };
-        if frame.direction != DIR_REQUEST {
-            stats.errors += 1;
-            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            flight().record("frame-error", "", "expected a request frame");
-            let mut msg = Vec::new();
-            Response::Error {
-                message: "protocol error: expected a request frame".to_string(),
-            }
-            .encode(&mut msg);
-            let _ = write_frame(conn, DIR_RESPONSE, &[msg]);
-            break;
-        }
-
-        stats.frames += 1;
-        counters.frames.fetch_add(1, Ordering::Relaxed);
-        cells.frames.fetch_add(1, Ordering::Relaxed);
+        session.stats.frames += 1;
+        session.pending.frames += 1;
         let traced = healers_trace::enabled();
-        let mut replies: Vec<Vec<u8>> = Vec::with_capacity(frame.messages.len());
-        for raw in &frame.messages {
-            let response = match Request::decode(raw) {
-                Ok(req) => {
-                    let started = traced.then(std::time::Instant::now);
-                    let kind = request_kind(&req);
-                    let (response, stop) =
-                        handle_request(req, plans, &mut stats, counters, hub, telemetry);
-                    cells.requests.fetch_add(1, Ordering::Relaxed);
-                    if let Some(s) = started {
-                        telemetry.record(kind, s.elapsed().as_nanos() as u64);
-                    }
-                    shutdown |= stop;
-                    response
-                }
-                Err(e) => {
-                    stats.errors += 1;
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    flight().record("frame-error", "", &format!("bad request: {e}"));
-                    Response::Error {
-                        message: format!("bad request: {e}"),
-                    }
-                }
-            };
-            let mut buf = Vec::new();
-            response.encode(&mut buf);
-            replies.push(buf);
+        let mut reply = FrameEncoder::new(&mut out, DIR_RESPONSE);
+        for raw in frame.messages() {
+            reply.message(|buf| shutdown |= session.handle_message(raw, traced, buf));
         }
-        if write_frame(conn, DIR_RESPONSE, &replies).is_err() {
-            break 'frames; // peer gone mid-reply
+        let reply = reply.finish();
+        session.pending.publish(counters, session.cells);
+        if conn.write_all(reply).and_then(|()| conn.flush()).is_err() {
+            break; // peer gone mid-reply
         }
         if shutdown {
             break;
         }
+        let bound = limits.max_frame_len as usize;
+        payload.shrink_to(bound);
+        out.shrink_to(bound);
     }
-    SessionOutcome { shutdown, stats }
+    SessionOutcome {
+        shutdown,
+        stats: session.stats,
+    }
 }
 
 /// A running daemon: accept thread plus session workers.
@@ -701,13 +792,11 @@ impl Daemon {
                         accept_hub.dequeue();
                         accept_counters.shed.fetch_add(1, Ordering::Relaxed);
                         flight().record("queue-shed", "", "connection queue full");
-                        let mut msg = Vec::new();
-                        Response::Error {
-                            message: "busy: connection queue full".to_string(),
-                        }
-                        .encode(&mut msg);
-                        let _ = conn.write_all(&encode_frame(DIR_RESPONSE, &[msg]));
-                        let _ = conn.flush();
+                        write_error(
+                            conn.as_mut(),
+                            &mut Vec::new(),
+                            "busy: connection queue full".to_string(),
+                        );
                     }
                     Err(TrySendError::Disconnected(_)) => break,
                 }

@@ -16,6 +16,14 @@
 //! the shell/core split on the wire. [`Limits`] bounds everything an
 //! attacker controls (payload length, batch size) **before** any
 //! allocation, so a hostile length prefix costs the daemon nothing.
+//!
+//! The daemon's session reads with [`read_frame_into`], which fills a
+//! payload buffer the session reuses, checks once that the message
+//! prefixes tile it, and then hands out each message as a borrowed
+//! slice. It encodes each reply frame in place with a
+//! [`FrameEncoder`] over one reused output buffer. [`read_frame`],
+//! [`encode_frame`] and [`write_frame`] are owned wrappers over the
+//! same code, for clients and tests.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -123,19 +131,109 @@ pub struct Frame {
     pub messages: Vec<Vec<u8>>,
 }
 
+/// A frame read into a caller-owned payload buffer by
+/// [`read_frame_into`]. Its message length prefixes are already known
+/// to tile the payload, so [`FrameRef::messages`] cannot fail.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameRef<'a> {
+    /// [`DIR_REQUEST`] or [`DIR_RESPONSE`].
+    pub direction: u8,
+    count: u16,
+    payload: &'a [u8],
+}
+
+impl<'a> FrameRef<'a> {
+    /// Messages in the frame.
+    pub fn count(&self) -> usize {
+        usize::from(self.count)
+    }
+
+    /// The frame's messages, in order, as slices of the payload buffer.
+    pub fn messages(&self) -> Messages<'a> {
+        Messages {
+            rest: self.payload,
+            left: self.count,
+        }
+    }
+}
+
+/// Iterator over a frame payload's length-prefixed messages.
+#[derive(Debug, Clone)]
+pub struct Messages<'a> {
+    rest: &'a [u8],
+    left: u16,
+}
+
+impl<'a> Iterator for Messages<'a> {
+    type Item = &'a [u8];
+
+    /// The next message, or `None` once `count` messages are taken or
+    /// the remaining bytes do not hold a whole one.
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.left == 0 {
+            return None;
+        }
+        let (len, rest) = self.rest.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*len) as usize;
+        if rest.len() < len {
+            return None;
+        }
+        let (message, rest) = rest.split_at(len);
+        self.rest = rest;
+        self.left -= 1;
+        Some(message)
+    }
+}
+
+/// Builds one frame in place in a reused buffer: the header first,
+/// then each message behind its length prefix; [`FrameEncoder::finish`]
+/// patches the message count and payload length into the header.
+#[derive(Debug)]
+pub struct FrameEncoder<'a> {
+    out: &'a mut Vec<u8>,
+    count: u16,
+}
+
+impl<'a> FrameEncoder<'a> {
+    /// Start a `direction` frame in `out`, dropping what it held.
+    pub fn new(out: &'a mut Vec<u8>, direction: u8) -> FrameEncoder<'a> {
+        out.clear();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        out.push(direction);
+        out.extend_from_slice(&[0; 6]); // count and length, patched by finish
+        FrameEncoder { out, count: 0 }
+    }
+
+    /// Append one message, whose bytes `encode` writes.
+    pub fn message(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.out.len();
+        self.out.extend_from_slice(&[0; 4]);
+        encode(self.out);
+        let len = (self.out.len() - at - 4) as u32;
+        self.out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.count = self.count.wrapping_add(1);
+    }
+
+    /// Patch the header and return the whole frame.
+    pub fn finish(self) -> &'a [u8] {
+        let out = self.out;
+        let payload_len = (out.len() - HEADER_LEN) as u32;
+        out[7..9].copy_from_slice(&self.count.to_le_bytes());
+        out[9..13].copy_from_slice(&payload_len.to_le_bytes());
+        out
+    }
+}
+
 /// Encode a frame from already-encoded messages.
 pub fn encode_frame(direction: u8, messages: &[Vec<u8>]) -> Vec<u8> {
     let payload_len: usize = messages.iter().map(|m| 4 + m.len()).sum();
     let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(direction);
-    out.extend_from_slice(&(messages.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    let mut frame = FrameEncoder::new(&mut out, direction);
     for m in messages {
-        out.extend_from_slice(&(m.len() as u32).to_le_bytes());
-        out.extend_from_slice(m);
+        frame.message(|buf| buf.extend_from_slice(m));
     }
+    frame.finish();
     out
 }
 
@@ -176,13 +274,20 @@ fn read_exact_or(
     Ok(())
 }
 
-/// Read one frame from `r`, enforcing `limits` before any allocation.
+/// Read one frame from `r` into `payload`, enforcing `limits` before
+/// the buffer grows, and check that its messages tile the payload.
+/// `payload` is reused from frame to frame, so a session pays for its
+/// largest frame once; it never grows past [`Limits::max_frame_len`].
 ///
 /// # Errors
 ///
 /// [`FrameError::Eof`] at a clean frame boundary; every other variant
 /// names the specific protocol violation or transport failure.
-pub fn read_frame(r: &mut (impl Read + ?Sized), limits: &Limits) -> Result<Frame, FrameError> {
+pub fn read_frame_into<'a>(
+    r: &mut (impl Read + ?Sized),
+    limits: &Limits,
+    payload: &'a mut Vec<u8>,
+) -> Result<FrameRef<'a>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_or(r, &mut header, true)?;
 
@@ -212,28 +317,35 @@ pub fn read_frame(r: &mut (impl Read + ?Sized), limits: &Limits) -> Result<Frame
         return Err(FrameError::MisframedPayload);
     }
 
-    let mut payload = vec![0u8; payload_len as usize];
-    read_exact_or(r, &mut payload, false)?;
+    payload.clear();
+    payload.resize(payload_len as usize, 0);
+    read_exact_or(r, payload, false)?;
 
-    let mut messages = Vec::with_capacity(count as usize);
-    let mut pos = 0usize;
-    for _ in 0..count {
-        if payload.len() - pos < 4 {
-            return Err(FrameError::MisframedPayload);
-        }
-        let len = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if payload.len() - pos < len {
-            return Err(FrameError::MisframedPayload);
-        }
-        messages.push(payload[pos..pos + len].to_vec());
-        pos += len;
-    }
-    if pos != payload.len() {
+    let frame = FrameRef {
+        direction,
+        count,
+        payload,
+    };
+    let mut tiles = frame.messages();
+    if tiles.by_ref().count() != usize::from(count) || !tiles.rest.is_empty() {
         return Err(FrameError::MisframedPayload);
     }
+    Ok(frame)
+}
+
+/// Read one frame from `r`, enforcing `limits` before any allocation:
+/// [`read_frame_into`] with a fresh buffer and owned messages.
+///
+/// # Errors
+///
+/// As [`read_frame_into`].
+pub fn read_frame(r: &mut (impl Read + ?Sized), limits: &Limits) -> Result<Frame, FrameError> {
+    let mut payload = Vec::new();
+    let frame = read_frame_into(r, limits, &mut payload)?;
+    let mut messages = Vec::with_capacity(frame.count());
+    messages.extend(frame.messages().map(<[u8]>::to_vec));
     Ok(Frame {
-        direction,
+        direction: frame.direction,
         messages,
     })
 }

@@ -26,7 +26,7 @@
 //! * [`daemon`] — the accept loop, bounded connection queue with
 //!   shedding, and the per-connection session worker pool;
 //! * [`script`] — the request-script DSL used by `healers serve exec`,
-//!   `healers serve send`, and the CI determinism diff;
+//!   `healers serve send`, and the serve goldens;
 //! * [`client`] — drive a request script over any connection and
 //!   collect the raw reply stream.
 //!
@@ -41,16 +41,19 @@
 //! state — [`proto::Request::Report`] aggregates the *session's own*
 //! counters, never daemon globals — and one worker owns a connection
 //! from accept to close, answering frames strictly in order. Reply
-//! streams are therefore byte-identical for any `--workers` value; the
-//! CI serve-smoke job diffs them.
+//! streams are therefore byte-identical for any `--workers` value;
+//! `tests/serve_goldens.rs` pins them against the committed
+//! `tests/golden/serve.*` files at 1 and 4 workers, and the CI
+//! serve-smoke job compares against the same files.
 //!
 //! [`proto::Request::Stats`] is the one deliberate, explicitly scoped
 //! exception: its reply reports *daemon-wide* live state. The carve-out
 //! is itself contractual — the reply's **deterministic subset**
 //! (global totals and per-function validate outcomes) counts logical
 //! events of the request history and stays byte-identical for any
-//! `--workers` given the same sequential client traffic (the CI
-//! stats-smoke job diffs it), while per-worker counters, the queue
+//! `--workers` given the same sequential client traffic (pinned by
+//! `tests/golden/serve.stats.txt` and, mid-frame, by
+//! `serve.batched.*`), while per-worker counters, the queue
 //! high-water mark, shed counts, and opt-in `--timings` percentiles
 //! are live scheduling state outside the contract. Script transcripts
 //! render only the deterministic subset.

@@ -76,9 +76,11 @@ impl Pipe {
         loop {
             if !state.buf.is_empty() {
                 let n = out.len().min(state.buf.len());
-                for (slot, byte) in out.iter_mut().zip(state.buf.drain(..n)) {
-                    *slot = byte;
-                }
+                let (front, back) = state.buf.as_slices();
+                let split = n.min(front.len());
+                out[..split].copy_from_slice(&front[..split]);
+                out[split..n].copy_from_slice(&back[..n - split]);
+                state.buf.drain(..n);
                 self.writable.notify_all();
                 return Ok(n);
             }
@@ -212,6 +214,24 @@ mod tests {
             seen += n;
         }
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn reads_copy_across_the_ring_wrap_point() {
+        let (mut a, mut b) = duplex(8);
+        a.write_all(b"abcdef").unwrap();
+        let mut four = [0u8; 4];
+        b.read_exact(&mut four).unwrap();
+        assert_eq!(&four, b"abcd");
+        // Six more bytes land behind the two still buffered, so a ring
+        // of capacity 8 wraps and the next read spans both halves.
+        a.write_all(b"ghijkl").unwrap();
+        let wrapped = !b.rx.state.lock().unwrap().buf.as_slices().1.is_empty();
+        assert!(wrapped, "the buffered bytes must straddle the wrap point");
+        let mut eight = [0u8; 8];
+        assert_eq!(b.read(&mut eight).unwrap(), 8);
+        assert_eq!(&eight, b"efghijkl");
+        assert_eq!(b.buffered(), 0);
     }
 
     #[test]

@@ -13,10 +13,14 @@
 //! Everything here is `&self`: validation walks the wrapper's
 //! build-time [`healers_core::CompiledPlan`] claim ops through
 //! [`healers_core::eval_op`], which probes the world read-only, so one
-//! `Arc<ServePlans>` serves every worker thread without locks, clones,
-//! or per-request allocation beyond the reply buffer. The name →
-//! function dispatch can be hoisted out of a request loop with
-//! [`ServePlans::resolve`] + [`ServePlans::validate_resolved`].
+//! `Arc<ServePlans>` serves every worker thread without locks or
+//! clones. `build` also makes one slot per served function: its
+//! wrapper handle and the check notation of each claim op, computed
+//! once. [`ServePlans::check`] pays one name lookup for the slot, and
+//! its [`Outcome`] borrows the notation from it, so a validate
+//! allocates nothing: the daemon's frame path, which holds
+//! `INV-SERVE-ZERO-ALLOC` (`tests/serve_zero_alloc.rs`), runs on it.
+//! [`ServePlans::validate`] is the owned wrapper over `check`.
 //!
 //! # The canonical world
 //!
@@ -30,6 +34,7 @@
 //! symbolically (`ptr:str`, `ptr:buf+N`) and still produce
 //! byte-identical reply streams everywhere.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
@@ -43,7 +48,7 @@ use healers_inject::FaultInjector;
 use healers_libc::{Libc, World};
 use healers_simproc::{Addr, SimValue};
 
-use crate::proto::{ExplainArg, ValidateVerdict};
+use crate::proto::{ExplainArg, ValidateVerdict, VerdictRef};
 
 /// The scratch string every daemon world carries.
 pub const SCRATCH_TEXT: &str = "healers-serve scratch";
@@ -144,7 +149,30 @@ pub struct ServePlans {
     scratch_str: Addr,
     scratch_buf: Addr,
     functions: Vec<String>,
+    /// Served function name → its slot; only functions with a
+    /// declaration have one.
+    slots: BTreeMap<String, Slot>,
     repair_hints: bool,
+}
+
+/// One served function's validate state, fixed at build.
+struct Slot {
+    /// Index in [`ServePlans::functions`].
+    function: usize,
+    id: FnId,
+    /// The check notation of each claim op, in op order.
+    notations: Box<[String]>,
+}
+
+/// What [`ServePlans::check`] found for one validate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome<'a> {
+    /// The verdict; a failing check's notation borrows the plan set.
+    pub verdict: VerdictRef<'a>,
+    /// The function's index in [`ServePlans::functions`], by which
+    /// per-function stats tally the verdict; `None` for an unknown
+    /// function.
+    pub function: Option<usize>,
 }
 
 impl fmt::Debug for ServePlans {
@@ -205,6 +233,26 @@ impl ServePlans {
             .decls(decls)
             .config(WrapperConfig::full_auto())
             .build();
+        let mut slots = BTreeMap::new();
+        for (function, name) in functions.iter().enumerate() {
+            let Some(id) = wrapper.resolve(name).filter(|&id| wrapper.has_decl(id)) else {
+                continue;
+            };
+            let notations = wrapper
+                .claim_ops(id)
+                .unwrap_or_default()
+                .iter()
+                .map(|op| op.ty.expect("claim ops carry a claim").notation())
+                .collect();
+            slots.insert(
+                name.clone(),
+                Slot {
+                    function,
+                    id,
+                    notations,
+                },
+            );
+        }
 
         let mut world = World::new();
         let scratch_str = world.alloc_cstr(SCRATCH_TEXT);
@@ -223,6 +271,7 @@ impl ServePlans {
                 scratch_str,
                 scratch_buf,
                 functions,
+                slots,
                 repair_hints: config.repair_hints,
             },
             metrics,
@@ -244,60 +293,55 @@ impl ServePlans {
         self.scratch_buf
     }
 
-    /// Resolve a function name to its hot-path handle once; reuse it
-    /// across many [`ServePlans::validate_resolved`] calls to keep the
-    /// dispatch lookup out of a request loop. `None` means the daemon
-    /// has no declaration for the name ([`ValidateVerdict::UnknownFunction`]).
-    pub fn resolve(&self, function: &str) -> Option<FnId> {
-        self.wrapper
-            .resolve(function)
-            .filter(|&id| self.wrapper.has_decl(id))
+    /// Validate `args` against `function`'s compiled wrapper plan:
+    /// one name lookup, then the claim ops straight off the flat op
+    /// array. Pure read: probes the canonical world, mutates nothing
+    /// but the caller's check counters, and allocates nothing.
+    pub fn check(
+        &self,
+        function: &str,
+        args: &[SimValue],
+        ctrs: &mut CheckCounters,
+    ) -> Outcome<'_> {
+        let Some(slot) = self.slots.get(function) else {
+            return Outcome {
+                verdict: VerdictRef::UnknownFunction,
+                function: None,
+            };
+        };
+        let verdict = match self.wrapper.claim_ops(slot.id) {
+            None => VerdictRef::AdmitUnchecked,
+            Some(ops) => ops
+                .iter()
+                .zip(&slot.notations)
+                .find(|(op, _)| !eval_op(&self.world, &self.tables, &self.caps, args, op, ctrs))
+                .map_or(VerdictRef::Admit, |(op, check)| {
+                    let arg = op.arg as u16;
+                    // Every claim op has a repair strategy in the
+                    // wrapper (`repair_one` is total over `OpAction`),
+                    // so under the hint gate a failing claim is always
+                    // repairable.
+                    if self.repair_hints {
+                        VerdictRef::WouldRepair { arg, check }
+                    } else {
+                        VerdictRef::Reject { arg, check }
+                    }
+                }),
+        };
+        Outcome {
+            verdict,
+            function: Some(slot.function),
+        }
     }
 
-    /// Validate `args` against `function`'s compiled wrapper plan.
-    /// Pure read: probes the canonical world, mutates nothing but the
-    /// caller's check counters.
+    /// [`ServePlans::check`]'s verdict, owned.
     pub fn validate(
         &self,
         function: &str,
         args: &[SimValue],
         ctrs: &mut CheckCounters,
     ) -> ValidateVerdict {
-        match self.resolve(function) {
-            Some(id) => self.validate_resolved(id, args, ctrs),
-            None => ValidateVerdict::UnknownFunction,
-        }
-    }
-
-    /// [`ServePlans::validate`] with the name lookup already hoisted:
-    /// walks the claim prefix of the function's [`CompiledPlan`]
-    /// straight off the flat op array.
-    ///
-    /// [`CompiledPlan`]: healers_core::CompiledPlan
-    pub fn validate_resolved(
-        &self,
-        id: FnId,
-        args: &[SimValue],
-        ctrs: &mut CheckCounters,
-    ) -> ValidateVerdict {
-        let Some(ops) = self.wrapper.claim_ops(id) else {
-            return ValidateVerdict::AdmitUnchecked;
-        };
-        for op in ops {
-            if !eval_op(&self.world, &self.tables, &self.caps, args, op, ctrs) {
-                let arg = op.arg as u16;
-                let check = op.ty.expect("claim ops carry a claim").notation();
-                // Every claim op has a repair strategy in the wrapper
-                // (`repair_one` is total over `OpAction`), so under
-                // the hint gate a failing claim is always repairable.
-                return if self.repair_hints {
-                    ValidateVerdict::WouldRepair { arg, check }
-                } else {
-                    ValidateVerdict::Reject { arg, check }
-                };
-            }
-        }
-        ValidateVerdict::Admit
+        self.check(function, args, ctrs).verdict.into_owned()
     }
 
     /// The lattice-walk summary for `function`: its prototype plus, per
@@ -393,31 +437,34 @@ mod tests {
     }
 
     #[test]
-    fn resolved_validation_matches_name_based_validation() {
+    fn check_borrows_what_validate_owns_and_names_the_stats_slot() {
         let plans = plans_for(&["strlen", "abs", "strcpy"]);
-        let id = plans.resolve("strlen").unwrap();
-        let cases: Vec<Vec<SimValue>> = vec![
-            vec![SimValue::Ptr(plans.scratch_str())],
-            vec![SimValue::NULL],
-            vec![SimValue::Ptr(0xdead_0000)],
-            vec![SimValue::Int(7)],
-            vec![],
+        let cases: Vec<(&str, Vec<SimValue>)> = vec![
+            ("strlen", vec![SimValue::Ptr(plans.scratch_str())]),
+            ("strlen", vec![SimValue::NULL]),
+            ("strlen", vec![SimValue::Ptr(0xdead_0000)]),
+            ("strlen", vec![SimValue::Int(7)]),
+            ("strlen", vec![]),
+            ("abs", vec![SimValue::Int(1)]),
+            (
+                "strcpy",
+                vec![SimValue::NULL, SimValue::Ptr(plans.scratch_str())],
+            ),
+            ("frobnicate", vec![]),
         ];
-        for args in &cases {
+        for (function, args) in &cases {
             let mut a = CheckCounters::default();
             let mut b = CheckCounters::default();
-            let by_name = plans.validate("strlen", args, &mut a);
-            let by_id = plans.validate_resolved(id, args, &mut b);
-            assert_eq!(by_name, by_id, "verdicts diverged for {args:?}");
-            assert_eq!(a, b, "counters diverged for {args:?}");
+            let outcome = plans.check(function, args, &mut a);
+            let owned = plans.validate(function, args, &mut b);
+            assert_eq!(outcome.verdict.into_owned(), owned, "{function} {args:?}");
+            assert_eq!(a, b, "counters diverged for {function} {args:?}");
+            assert_eq!(
+                outcome.function,
+                plans.functions().iter().position(|f| f == function),
+                "{function}"
+            );
         }
-        assert!(plans.resolve("frobnicate").is_none());
-        let abs = plans.resolve("abs").unwrap();
-        let mut ctrs = CheckCounters::default();
-        assert_eq!(
-            plans.validate_resolved(abs, &[SimValue::Int(1)], &mut ctrs),
-            ValidateVerdict::AdmitUnchecked
-        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! string is length-prefixed UTF-8. The codec is written as this
 //! repo's own medicine prescribes: decoding never panics, never
 //! over-reads, and rejects every malformed byte sequence with a
-//! [`WireError`] naming what went wrong.
+//! [`WireError`] naming what went wrong. [`RequestRef::decode`] is the
+//! one request decoder: it borrows names from the message and fills a
+//! caller's reused argument vector, and [`Request::decode`] wraps it.
+//! [`VerdictRef::encode`] is the one verdict encoder.
 //!
 //! Request kinds (wire tag in brackets):
 //!
@@ -127,6 +130,95 @@ pub enum ValidateVerdict {
     UnknownFunction,
 }
 
+/// A [`Request`] decoded in place by [`RequestRef::decode`]: names
+/// borrow the message bytes, and a `Validate`'s arguments go into a
+/// vector the caller passes in and reuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// [`Request::Ping`].
+    Ping,
+    /// [`Request::Validate`]; the arguments are in the decoder's vector.
+    Validate {
+        /// Target function name.
+        function: &'a str,
+    },
+    /// [`Request::Explain`].
+    Explain {
+        /// Target function name.
+        function: &'a str,
+    },
+    /// [`Request::Report`].
+    Report,
+    /// [`Request::Shutdown`].
+    Shutdown,
+    /// [`Request::Stats`].
+    Stats {
+        /// Include latency percentiles.
+        timings: bool,
+    },
+}
+
+/// A [`ValidateVerdict`] whose check notation is borrowed — from the
+/// plan set when [`ServePlans::check`](crate::ServePlans::check) makes
+/// it, so a reject costs no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictRef<'a> {
+    /// [`ValidateVerdict::Admit`].
+    Admit,
+    /// [`ValidateVerdict::AdmitUnchecked`].
+    AdmitUnchecked,
+    /// [`ValidateVerdict::Reject`].
+    Reject {
+        /// Index of the violating argument.
+        arg: u16,
+        /// Notation of the check that failed.
+        check: &'a str,
+    },
+    /// [`ValidateVerdict::WouldRepair`].
+    WouldRepair {
+        /// Index of the violating (repairable) argument.
+        arg: u16,
+        /// Notation of the check that failed.
+        check: &'a str,
+    },
+    /// [`ValidateVerdict::UnknownFunction`].
+    UnknownFunction,
+}
+
+impl ValidateVerdict {
+    /// The borrowed form of this verdict.
+    pub fn view(&self) -> VerdictRef<'_> {
+        match self {
+            ValidateVerdict::Admit => VerdictRef::Admit,
+            ValidateVerdict::AdmitUnchecked => VerdictRef::AdmitUnchecked,
+            ValidateVerdict::Reject { arg, check } => VerdictRef::Reject { arg: *arg, check },
+            ValidateVerdict::WouldRepair { arg, check } => {
+                VerdictRef::WouldRepair { arg: *arg, check }
+            }
+            ValidateVerdict::UnknownFunction => VerdictRef::UnknownFunction,
+        }
+    }
+}
+
+impl VerdictRef<'_> {
+    /// The owned form of this verdict.
+    pub fn into_owned(self) -> ValidateVerdict {
+        match self {
+            VerdictRef::Admit => ValidateVerdict::Admit,
+            VerdictRef::AdmitUnchecked => ValidateVerdict::AdmitUnchecked,
+            VerdictRef::Reject { arg, check } => ValidateVerdict::Reject {
+                arg,
+                check: check.to_string(),
+            },
+            VerdictRef::WouldRepair { arg, check } => ValidateVerdict::WouldRepair {
+                arg,
+                check: check.to_string(),
+            },
+            VerdictRef::UnknownFunction => ValidateVerdict::UnknownFunction,
+        }
+    }
+}
+
 /// One argument's entry in an `Explained` response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainArg {
@@ -183,7 +275,7 @@ pub struct TimingStat {
 /// The **deterministic subset** — [`totals`](StatsReply::totals) and
 /// [`functions`](StatsReply::functions) — counts logical events, so
 /// for the same sequential request history it is byte-identical for
-/// any `--workers` value (the CI stats-smoke job diffs it). Everything
+/// any `--workers` value (`tests/golden/serve.stats.txt` pins it). Everything
 /// else is live scheduling state and excluded from that contract.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsReply {
@@ -236,17 +328,17 @@ pub enum Response {
 // ---- primitive readers/writers -------------------------------------
 
 /// A bounds-checked cursor over a message payload.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -259,37 +351,40 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+    fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
+    fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+    fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadString)
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadString)
+    }
+
+    fn string(&mut self) -> Result<String, WireError> {
+        self.str().map(str::to_string)
     }
 }
 
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
+fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Strings longer than a u16 length prefix cannot be represented;
 /// encoders truncate rather than wrap (checks/prototypes are far
 /// shorter in practice).
-pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
+fn put_string(out: &mut Vec<u8>, s: &str) {
     let bytes = s.as_bytes();
     let len = bytes.len().min(u16::MAX as usize);
     put_u16(out, len as u16);
@@ -373,42 +468,66 @@ impl Request {
         }
     }
 
-    /// Decode one request occupying exactly `buf`.
+    /// Decode one request occupying exactly `buf`:
+    /// [`RequestRef::decode`] plus [`RequestRef::into_owned`].
+    ///
+    /// # Errors
+    ///
+    /// As [`RequestRef::decode`].
+    pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
+        let mut args = Vec::new();
+        Ok(RequestRef::decode(buf, &mut args)?.into_owned(args))
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// Decode one request occupying exactly `buf`, borrowing its names
+    /// from `buf` and writing a `Validate`'s arguments over `args`.
     ///
     /// # Errors
     ///
     /// Rejects truncation, unknown tags, bad strings, out-of-range
     /// pointers, and trailing bytes.
-    pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
+    pub fn decode(buf: &'a [u8], args: &mut Vec<SimValue>) -> Result<RequestRef<'a>, WireError> {
         let mut c = Cursor::new(buf);
-        let req = Self::decode_from(&mut c)?;
+        args.clear();
+        let req = match c.u8()? {
+            REQ_PING => RequestRef::Ping,
+            REQ_VALIDATE => {
+                let function = c.str()?;
+                for _ in 0..c.u8()? {
+                    args.push(get_value(&mut c)?);
+                }
+                RequestRef::Validate { function }
+            }
+            REQ_EXPLAIN => RequestRef::Explain { function: c.str()? },
+            REQ_REPORT => RequestRef::Report,
+            REQ_SHUTDOWN => RequestRef::Shutdown,
+            REQ_STATS => RequestRef::Stats {
+                timings: c.u8()? & STATS_FLAG_TIMINGS != 0,
+            },
+            t => return Err(WireError::UnknownTag(t)),
+        };
         if c.remaining() != 0 {
             return Err(WireError::TrailingBytes(c.remaining()));
         }
         Ok(req)
     }
 
-    pub(crate) fn decode_from(c: &mut Cursor<'_>) -> Result<Request, WireError> {
-        match c.u8()? {
-            REQ_PING => Ok(Request::Ping),
-            REQ_VALIDATE => {
-                let function = c.string()?;
-                let argc = c.u8()? as usize;
-                let mut args = Vec::with_capacity(argc);
-                for _ in 0..argc {
-                    args.push(get_value(c)?);
-                }
-                Ok(Request::Validate { function, args })
-            }
-            REQ_EXPLAIN => Ok(Request::Explain {
-                function: c.string()?,
-            }),
-            REQ_REPORT => Ok(Request::Report),
-            REQ_SHUTDOWN => Ok(Request::Shutdown),
-            REQ_STATS => Ok(Request::Stats {
-                timings: c.u8()? & STATS_FLAG_TIMINGS != 0,
-            }),
-            t => Err(WireError::UnknownTag(t)),
+    /// The owned request, taking `args` as a `Validate`'s arguments.
+    pub fn into_owned(self, args: Vec<SimValue>) -> Request {
+        match self {
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Validate { function } => Request::Validate {
+                function: function.to_string(),
+                args,
+            },
+            RequestRef::Explain { function } => Request::Explain {
+                function: function.to_string(),
+            },
+            RequestRef::Report => Request::Report,
+            RequestRef::Shutdown => Request::Shutdown,
+            RequestRef::Stats { timings } => Request::Stats { timings },
         }
     }
 }
@@ -429,29 +548,35 @@ const VERDICT_REJECT: u8 = 2;
 const VERDICT_UNKNOWN_FUNCTION: u8 = 3;
 const VERDICT_WOULD_REPAIR: u8 = 4;
 
+impl VerdictRef<'_> {
+    /// Append the wire form of the `Validated` response carrying this
+    /// verdict to `out`.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        out.push(RSP_VALIDATED);
+        match self {
+            VerdictRef::Admit => out.push(VERDICT_ADMIT),
+            VerdictRef::AdmitUnchecked => out.push(VERDICT_ADMIT_UNCHECKED),
+            VerdictRef::Reject { arg, check } => {
+                out.push(VERDICT_REJECT);
+                put_u16(out, arg);
+                put_string(out, check);
+            }
+            VerdictRef::WouldRepair { arg, check } => {
+                out.push(VERDICT_WOULD_REPAIR);
+                put_u16(out, arg);
+                put_string(out, check);
+            }
+            VerdictRef::UnknownFunction => out.push(VERDICT_UNKNOWN_FUNCTION),
+        }
+    }
+}
+
 impl Response {
     /// Append the wire form of this response to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Response::Pong => out.push(RSP_PONG),
-            Response::Validated(v) => {
-                out.push(RSP_VALIDATED);
-                match v {
-                    ValidateVerdict::Admit => out.push(VERDICT_ADMIT),
-                    ValidateVerdict::AdmitUnchecked => out.push(VERDICT_ADMIT_UNCHECKED),
-                    ValidateVerdict::Reject { arg, check } => {
-                        out.push(VERDICT_REJECT);
-                        put_u16(out, *arg);
-                        put_string(out, check);
-                    }
-                    ValidateVerdict::WouldRepair { arg, check } => {
-                        out.push(VERDICT_WOULD_REPAIR);
-                        put_u16(out, *arg);
-                        put_string(out, check);
-                    }
-                    ValidateVerdict::UnknownFunction => out.push(VERDICT_UNKNOWN_FUNCTION),
-                }
-            }
+            Response::Validated(v) => v.view().encode(out),
             Response::Explained { info } => {
                 out.push(RSP_EXPLAINED);
                 match info {
@@ -528,7 +653,7 @@ impl Response {
         Ok(rsp)
     }
 
-    pub(crate) fn decode_from(c: &mut Cursor<'_>) -> Result<Response, WireError> {
+    fn decode_from(c: &mut Cursor<'_>) -> Result<Response, WireError> {
         match c.u8()? {
             RSP_PONG => Ok(Response::Pong),
             RSP_VALIDATED => {

@@ -1,7 +1,7 @@
 //! The request-script DSL.
 //!
-//! `healers serve exec`, `healers serve send`, and the CI determinism
-//! diff all replay the same fixed scripts; the DSL exists so those
+//! `healers serve exec`, `healers serve send`, and the serve goldens
+//! (`tests/serve_goldens.rs`) all replay the same fixed scripts; the DSL exists so those
 //! scripts can live in the repo as readable text while still producing
 //! **byte-identical** request streams everywhere.
 //!

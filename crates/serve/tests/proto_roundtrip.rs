@@ -137,6 +137,8 @@ proptest! {
         prop_assert!(matches!(err, FrameError::BadVersion(v) if v == version), "{:?}", err);
     }
 
+    /// The decoder half of `INV-SERVE-HOSTILE-BYTES`; the session half
+    /// is `tests/hostile_bytes.rs`.
     #[test]
     fn random_bytes_never_panic_the_decoders(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         // Errors are fine; panics and over-reads are not.

@@ -82,7 +82,10 @@ fn serve_exec(script: &str, workers: &str, dir: &Path) -> (Vec<u8>, Vec<u8>) {
     args.extend(FUNCTIONS.iter().map(|f| f.to_string()));
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let out = healers(&args);
-    (out.stdout, std::fs::read(&raw).expect("raw replies written"))
+    (
+        out.stdout,
+        std::fs::read(&raw).expect("raw replies written"),
+    )
 }
 
 /// Every response message of a raw reply stream, frame after frame.
@@ -121,7 +124,10 @@ fn serve_smoke_matches_the_golden_at_every_worker_count() {
         let (text, raw) = serve_exec("smoke", workers, &dir);
         let what = format!("serve exec smoke.txt --workers {workers}");
         assert_text("serve.smoke.txt", &what, &text);
-        assert!(raw == golden("serve.smoke.bin"), "{what}: raw replies differ");
+        assert!(
+            raw == golden("serve.smoke.bin"),
+            "{what}: raw replies differ"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -184,11 +190,25 @@ fn serve_deterministic_stats_match_the_golden_at_every_worker_count() {
                 .display()
                 .to_string()
         };
-        healers(&["serve", "send", "--socket", &sock, "--script", &script("traffic")]);
+        healers(&[
+            "serve",
+            "send",
+            "--socket",
+            &sock,
+            "--script",
+            &script("traffic"),
+        ]);
         let stats = healers(&["serve", "stats", "--socket", &sock, "--deterministic"]);
         let what = format!("serve stats --deterministic --workers {workers}");
         assert_text("serve.stats.txt", &what, &stats.stdout);
-        healers(&["serve", "send", "--socket", &sock, "--script", &script("shutdown")]);
+        healers(&[
+            "serve",
+            "send",
+            "--socket",
+            &sock,
+            "--script",
+            &script("shutdown"),
+        ]);
         let _ = daemon.0.wait();
     }
     std::fs::remove_dir_all(&dir).unwrap();
