@@ -7,6 +7,10 @@
 //! | `serve.batched.txt`, `serve.batched.bin` | the same with `batched.txt` |
 //! | `serve.stats.txt` | `healers serve stats --deterministic` against a `serve daemon` after `serve send --script traffic.txt` |
 //!
+//! The same daemon run also pins the daemon's exit summary on stderr
+//! (`EXIT_SUMMARY`): the counters after `traffic.txt`, the `stats`
+//! scrape and `shutdown.txt`.
+//!
 //! `batched.txt` puts every validate outcome, a `stats`, a `report`
 //! and an `explain` in one frame, so its goldens pin per-frame counter
 //! publication: the mid-frame `stats` counts every validate before it.
@@ -151,6 +155,21 @@ fn serve_batched_frame_matches_the_golden_at_every_worker_count() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The last lines `serve daemon` prints to stderr after the
+/// deterministic-stats traffic: three connections (traffic, the stats
+/// scrape, shutdown), each one frame; the stats and shutdown requests
+/// on top of `serve.stats.txt`'s four.
+const EXIT_SUMMARY: &str = "\
+  connections      3
+  shed             0
+  frames           3
+  requests         5
+  validates        3
+  admits           2
+  rejects          1
+  protocol_errors  0
+";
+
 /// Kill the daemon child even when an assertion unwinds the test.
 struct DaemonGuard(std::process::Child);
 
@@ -173,7 +192,7 @@ fn serve_deterministic_stats_match_the_golden_at_every_worker_count() {
             Command::new(env!("CARGO_BIN_EXE_healers"))
                 .args(&args)
                 .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
                 .spawn()
                 .expect("spawn daemon"),
         );
@@ -209,7 +228,14 @@ fn serve_deterministic_stats_match_the_golden_at_every_worker_count() {
             "--script",
             &script("shutdown"),
         ]);
-        let _ = daemon.0.wait();
+        let status = daemon.0.wait().expect("daemon exits");
+        assert!(status.success(), "serve daemon --workers {workers} failed");
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut daemon.0.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert!(
+            stderr.ends_with(EXIT_SUMMARY),
+            "serve daemon --workers {workers}: exit summary differs; stderr is:\n{stderr}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
