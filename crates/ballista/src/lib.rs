@@ -42,11 +42,9 @@ pub mod pools;
 pub mod report;
 pub mod runner;
 pub mod targets;
-pub mod toctou;
 
 pub use bitflip::run_bitflip;
 pub use fingerprint::derive_seed;
 pub use report::{BallistaReport, FunctionOutcomes, TestClass};
 pub use runner::{Ballista, FunctionRun, Mode, ParseModeError, PreparedMode, TestRun};
 pub use targets::{ballista_targets, NEVER_CRASHING};
-pub use toctou::{run_toctou_scenarios, RaceOutcome, ToctouReport, ToctouRow};

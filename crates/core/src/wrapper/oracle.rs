@@ -239,6 +239,13 @@ mod tests {
     /// compiled program and the interpreted walk report the same
     /// [`CheckFailure`] and check text and leave identical counters and
     /// validity caches, call by call from the same wrapper state.
+    ///
+    /// `INV-CACHE-TRANSPARENT`, in the same sweep: a `check_cache:
+    /// false` twin with the same declarations and tracking tables gives
+    /// every call the same `run_compiled` result, `stats.checks` and
+    /// `check_outcomes` (its kernel counters and cache hits may
+    /// differ: a hit skips the kernels). The contract's eviction half is
+    /// `validity_cache_is_evicted_on_table_mutations` in `wrapper.rs`.
     #[test]
     fn compiled_plans_match_the_interpreted_oracle() {
         let libc = Libc::standard();
@@ -256,13 +263,23 @@ mod tests {
         let mut failed_kinds = BTreeSet::new();
         let (mut runs, mut passes, mut hits) = (0u64, 0u64, 0u64);
         for (label, config, overrides) in configs {
-            let mut builder = WrapperBuilder::new().decls(decls.clone()).config(config);
-            if let Some(o) = &overrides {
-                builder = builder.overrides(o);
-            }
-            let mut w = builder.build();
+            let build = |check_cache: bool| {
+                let config = WrapperConfig {
+                    check_cache,
+                    ..config.clone()
+                };
+                let mut builder = WrapperBuilder::new().decls(decls.clone()).config(config);
+                if let Some(o) = &overrides {
+                    builder = builder.overrides(o);
+                }
+                builder.build()
+            };
+            let mut w = build(true);
             let mut world = World::new_guarded();
             let zoo = zoo(&mut w, &libc, &mut world);
+            let mut uncached = build(false);
+            uncached.tables = w.tables.clone();
+            uncached.stats = w.stats.clone();
             let bases = [zoo[2], zoo[6], zoo[10], SimValue::Int(8)];
             for name in &names {
                 let Some(id) = w.resolve(name) else { continue };
@@ -301,6 +318,19 @@ mod tests {
                     assert_eq!(counters(&w), counters(&oracle), "counters differ: {}", at());
                     assert_eq!(w.check_cache_len(), oracle.check_cache_len(), "{}", at());
                     assert_eq!(w.check_cache, oracle.check_cache, "{}", at());
+                    let plain = uncached.run_compiled(&world, idx, args);
+                    assert_eq!(
+                        got.as_ref().map_err(|(f, _)| f),
+                        plain.as_ref(),
+                        "the validity cache changed a verdict: {}",
+                        at()
+                    );
+                    assert_eq!(
+                        (w.stats.checks, w.stats.check_outcomes),
+                        (uncached.stats.checks, uncached.stats.check_outcomes),
+                        "the validity cache changed a count: {}",
+                        at()
+                    );
                     runs += 1;
                     hits += w.stats.check_cache_hits - hits_before;
                     match got {

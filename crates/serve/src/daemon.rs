@@ -26,19 +26,22 @@
 //! # The frame path
 //!
 //! [`serve_session`] is the only path a request takes, whatever its
-//! kind and whether the telemetry gate is on. It reads a frame into the
-//! reused payload buffer, decodes each message in place
-//! ([`RequestRef`]), answers it — a validate through
+//! kind. It reads a frame into the reused payload buffer, decodes each
+//! message in place ([`RequestRef`]), answers it — a validate through
 //! [`ServePlans::check`], whose verdict borrows its notation — and
 //! encodes the answer in place into the reused reply buffer, then
 //! writes the reply frame with one `write_all`. A frame of validates
 //! allocates nothing in steady state (`INV-SERVE-ZERO-ALLOC`,
 //! `tests/serve_zero_alloc.rs`), and hostile bytes never panic it
-//! (`INV-SERVE-HOSTILE-BYTES`, `tests/hostile_bytes.rs`). The session
-//! adds a frame's counts to the daemon-global [`ServeCounters`] and
-//! its worker's counters in one batch, before any `Stats` request in
-//! the frame runs and before the reply is written, so a sequential
-//! client reads the same numbers as if each request had added its own.
+//! (`INV-SERVE-HOSTILE-BYTES`, `tests/hostile_bytes.rs`).
+//!
+//! Each request bumps the session's own [`SessionStats`] once, and a
+//! validate's outcome lands in a session-local per-function tally. The
+//! session hands the daemon's one [`StatsHub`] everything counted since
+//! it last did so, under one lock: before a `Stats` request runs,
+//! before the reply frame is written, and on the protocol-error path.
+//! So a sequential client reads the same numbers as if each request had
+//! published its own, and a finished session has published everything.
 //!
 //! # Why this worker model is TOCTOU-free by construction
 //!
@@ -50,28 +53,24 @@
 //! check plan runs against those bytes, and nothing is re-read from
 //! shared state between check and reply. There is no admitted pointer
 //! for a sibling connection to revoke, workers share only the
-//! immutable [`ServePlans`] and monotonic counters, and a connection's
+//! immutable [`ServePlans`] and the hub's counters, and a connection's
 //! verdicts therefore cannot depend on what any other connection is
 //! doing. The `revalidate_on_preempt` hardening is an in-process
 //! wrapper concern; the service boundary needs no analogue of it.
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use healers_core::checker::CheckCounters;
-use healers_trace::Histogram;
-
 use healers_trace::recorder::flight;
 
 use crate::frame::{read_frame_into, FrameEncoder, FrameError, Limits, DIR_REQUEST, DIR_RESPONSE};
 use crate::plans::ServePlans;
-use crate::proto::{
-    FnOutcome, RequestRef, Response, StatsReply, TimingStat, VerdictRef, WorkerStat,
-};
+use crate::proto::{FnOutcome, RequestRef, Response, StatsReply, VerdictRef, WorkerStat};
 use healers_simproc::SimValue;
 
 /// A serveable connection: blocking byte stream, movable to a worker.
@@ -185,94 +184,57 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Daemon-global counters. Exposed over the wire only through
-/// [`Request::Stats`](crate::Request::Stats), whose reply is explicitly daemon-scoped — every
-/// *other* reply stays a pure function of one connection's requests
-/// (see the crate-level determinism contract). The deterministic
-/// subset ([`ServeCounters::deterministic_totals`]) counts logical
-/// events, so it is still byte-identical for any `--workers`. Sessions
-/// add their counts once per frame (see [the frame path](self#the-frame-path)).
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    /// Connections accepted and queued.
-    pub connections: AtomicU64,
-    /// Connections shed with a busy frame because the queue was full.
-    pub shed: AtomicU64,
-    /// Request frames served.
-    pub frames: AtomicU64,
-    /// Requests served (all kinds).
-    pub requests: AtomicU64,
-    /// Validate requests.
-    pub validates: AtomicU64,
-    /// Validate verdicts that admitted the call (checked or not).
-    pub admits: AtomicU64,
-    /// Validate verdicts that rejected the call.
-    pub rejects: AtomicU64,
-    /// Malformed frames or messages answered with an error.
-    pub protocol_errors: AtomicU64,
-}
-
-impl ServeCounters {
-    /// A deterministic-order snapshot for rendering.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("connections", self.connections.load(Ordering::Relaxed)),
-            ("shed", self.shed.load(Ordering::Relaxed)),
-            ("frames", self.frames.load(Ordering::Relaxed)),
-            ("requests", self.requests.load(Ordering::Relaxed)),
-            ("validates", self.validates.load(Ordering::Relaxed)),
-            ("admits", self.admits.load(Ordering::Relaxed)),
-            ("rejects", self.rejects.load(Ordering::Relaxed)),
-            (
-                "protocol_errors",
-                self.protocol_errors.load(Ordering::Relaxed),
-            ),
-        ]
-    }
-
-    /// The **deterministic subset** carried in a `Stats` reply: every
-    /// counter that counts logical events of the request history, in a
-    /// fixed order. `shed` is excluded — whether a connection sheds
-    /// depends on worker scheduling, not on the request bytes.
-    pub fn deterministic_totals(&self) -> Vec<(String, u64)> {
-        [
-            ("connections", self.connections.load(Ordering::Relaxed)),
-            ("frames", self.frames.load(Ordering::Relaxed)),
-            ("requests", self.requests.load(Ordering::Relaxed)),
-            ("validates", self.validates.load(Ordering::Relaxed)),
-            ("admits", self.admits.load(Ordering::Relaxed)),
-            ("rejects", self.rejects.load(Ordering::Relaxed)),
-            (
-                "protocol_errors",
-                self.protocol_errors.load(Ordering::Relaxed),
-            ),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
-    }
-}
-
-/// Per-worker live counters.
-#[derive(Debug, Default)]
-struct WorkerCells {
-    frames: AtomicU64,
-    requests: AtomicU64,
-}
-
-/// The daemon-wide live statistics hub backing [`Request::Stats`](crate::Request::Stats):
-/// per-function validate outcomes (deterministic, plan order),
-/// per-worker frame/request counters, and the connection-queue
-/// high-water mark (both live scheduling state, outside the
-/// determinism contract).
+/// The daemon's one shared stats state, backing
+/// [`Request::Stats`](crate::Request::Stats) and the daemon's exit
+/// summary. One lock guards:
+///
+/// * every session's [`SessionStats`], summed;
+/// * per-function `[admitted, rejected, unchecked]` validate outcomes,
+///   plan order;
+/// * per-worker `[frames, requests]`;
+/// * the accept thread's connection, shed and queue-depth counts.
+///
+/// The `Stats` reply's **deterministic subset** (totals and
+/// per-function outcomes) counts logical events of the request
+/// history, so it is byte-identical for any `--workers`; per-worker
+/// rows, the queue high-water mark and shed counts are live scheduling
+/// state. Sessions publish once per frame (see
+/// [the frame path](self#the-frame-path)).
 #[derive(Debug)]
 pub struct StatsHub {
     fn_names: Vec<String>,
-    /// `[admitted, rejected, unchecked]` per function, plan order.
-    fn_outcomes: Vec<[AtomicU64; 3]>,
-    workers: Vec<WorkerCells>,
-    queued: AtomicU64,
-    queue_highwater: AtomicU64,
+    state: Mutex<HubState>,
+}
+
+#[derive(Debug, Default)]
+struct HubState {
+    sessions: SessionStats,
+    fn_outcomes: Vec<[u64; 3]>,
+    workers: Vec<[u64; 2]>,
+    /// Connections accepted and queued.
+    connections: u64,
+    /// Connections shed with a busy frame because the queue was full.
+    shed: u64,
+    queued: u64,
+    queue_highwater: u64,
+}
+
+impl HubState {
+    /// The exit summary's counters, in their printed order. All but
+    /// `shed` form the deterministic totals of a `Stats` reply.
+    fn summary(&self) -> [(&'static str, u64); 8] {
+        let s = &self.sessions;
+        [
+            ("connections", self.connections),
+            ("shed", self.shed),
+            ("frames", s.frames),
+            ("requests", s.requests),
+            ("validates", s.validates),
+            ("admits", s.admitted + s.admitted_unchecked),
+            ("rejects", s.rejected),
+            ("protocol_errors", s.errors),
+        ]
+    }
 }
 
 impl StatsHub {
@@ -281,127 +243,106 @@ impl StatsHub {
     pub fn new(functions: &[String], workers: usize) -> StatsHub {
         StatsHub {
             fn_names: functions.to_vec(),
-            fn_outcomes: functions.iter().map(|_| Default::default()).collect(),
-            workers: (0..workers.max(1))
-                .map(|_| WorkerCells::default())
-                .collect(),
-            queued: AtomicU64::new(0),
-            queue_highwater: AtomicU64::new(0),
+            state: Mutex::new(HubState {
+                fn_outcomes: vec![[0; 3]; functions.len()],
+                workers: vec![[0; 2]; workers.max(1)],
+                ..HubState::default()
+            }),
         }
     }
 
-    /// Tally `verdict` for the function at index `function` of the
-    /// plan order.
-    fn record_outcome(&self, function: usize, verdict: VerdictRef<'_>) {
-        let cell = match verdict {
-            VerdictRef::Admit => 0,
-            // A repair hint is still a failed validation; it lands in
-            // the reject column so the deterministic stats are
-            // identical whether or not the hint gate is on.
-            VerdictRef::Reject { .. } | VerdictRef::WouldRepair { .. } => 1,
-            VerdictRef::AdmitUnchecked => 2,
-            VerdictRef::UnknownFunction => return,
-        };
-        if let Some(cells) = self.fn_outcomes.get(function) {
-            cells[cell].fetch_add(1, Ordering::Relaxed);
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, HubState> {
+        // Plain counters stay consistent even if a holder panicked.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn enqueue(&self) {
-        let depth = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_highwater.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn dequeue(&self) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Per-function validate outcomes, plan order — the deterministic
-    /// half of the hub.
-    pub fn fn_outcomes(&self) -> Vec<FnOutcome> {
-        self.fn_names
-            .iter()
-            .zip(self.fn_outcomes.iter())
-            .map(|(name, cells)| FnOutcome {
-                function: name.clone(),
-                admitted: cells[0].load(Ordering::Relaxed),
-                rejected: cells[1].load(Ordering::Relaxed),
-                unchecked: cells[2].load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Highest connection-queue depth observed so far.
-    pub fn queue_highwater(&self) -> u64 {
-        self.queue_highwater.load(Ordering::Relaxed)
-    }
-
-    fn worker_stats(&self) -> Vec<WorkerStat> {
-        self.workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WorkerStat {
-                worker: i as u16,
-                frames: w.frames.load(Ordering::Relaxed),
-                requests: w.requests.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Assemble a full [`StatsReply`] from the hub plus the global
-    /// counters and (when `timings`) the gated latency telemetry.
-    pub fn stats_reply(
+    /// Add what a session on `worker` counted since it last published:
+    /// `now − then` of its stats, and its per-function `outcomes`
+    /// delta, which this drains to zero.
+    fn publish(
         &self,
-        counters: &ServeCounters,
-        telemetry: &ServeTelemetry,
-        timings: bool,
-    ) -> StatsReply {
-        StatsReply {
-            totals: counters.deterministic_totals(),
-            functions: self.fn_outcomes(),
-            workers: self.worker_stats(),
-            queue_highwater: self.queue_highwater(),
-            shed: counters.shed.load(Ordering::Relaxed),
-            timings: if timings {
-                telemetry.timing_stats()
-            } else {
-                Vec::new()
-            },
+        worker: usize,
+        now: &SessionStats,
+        then: &SessionStats,
+        outcomes: &mut [[u64; 3]],
+    ) {
+        let mut hub = self.lock();
+        hub.sessions.add_since(now, then);
+        let last = hub.workers.len() - 1;
+        let row = &mut hub.workers[worker.min(last)];
+        row[0] += now.frames - then.frames;
+        row[1] += now.requests - then.requests;
+        for (sum, delta) in hub.fn_outcomes.iter_mut().zip(outcomes) {
+            if *delta != [0; 3] {
+                for (s, d) in sum.iter_mut().zip(std::mem::take(delta)) {
+                    *s += d;
+                }
+            }
         }
     }
-}
 
-/// Gated per-request latency telemetry: one log2-bucket histogram per
-/// request kind, recorded only while the [`healers_trace`] gate is on.
-#[derive(Debug, Default)]
-pub struct ServeTelemetry {
-    hists: Mutex<std::collections::BTreeMap<&'static str, Histogram>>,
-}
-
-impl ServeTelemetry {
-    fn record(&self, kind: &'static str, nanos: u64) {
-        let mut hists = self.hists.lock().unwrap();
-        hists.entry(kind).or_default().record(nanos);
+    fn accept(&self) {
+        let mut hub = self.lock();
+        hub.connections += 1;
+        hub.queued += 1;
+        hub.queue_highwater = hub.queue_highwater.max(hub.queued);
     }
 
-    /// The histograms as wire-ready [`TimingStat`]s, name order.
-    pub fn timing_stats(&self) -> Vec<TimingStat> {
-        let hists = self.hists.lock().unwrap();
-        hists
-            .iter()
-            .map(|(name, h)| TimingStat {
-                name: (*name).to_string(),
-                count: h.count(),
-                p50: h.percentile(50.0),
-                p99: h.percentile(99.0),
-            })
-            .collect()
+    /// Take a connection off the queue: to a worker, or `shed`.
+    fn dequeue(&self, shed: bool) {
+        let mut hub = self.lock();
+        hub.queued -= 1;
+        hub.shed += u64::from(shed);
+    }
+
+    /// The exit summary: connections, shed, frames, requests,
+    /// validates, admits, rejects and protocol errors, in that order.
+    pub fn snapshot(&self) -> [(&'static str, u64); 8] {
+        self.lock().summary()
+    }
+
+    /// A full [`StatsReply`]. Its `timings` list is always empty: the
+    /// daemon keeps no latency histograms.
+    pub fn stats_reply(&self) -> StatsReply {
+        let hub = self.lock();
+        StatsReply {
+            totals: hub
+                .summary()
+                .into_iter()
+                .filter(|&(name, _)| name != "shed")
+                .map(|(name, n)| (name.to_string(), n))
+                .collect(),
+            functions: self
+                .fn_names
+                .iter()
+                .zip(&hub.fn_outcomes)
+                .map(|(name, &[admitted, rejected, unchecked])| FnOutcome {
+                    function: name.clone(),
+                    admitted,
+                    rejected,
+                    unchecked,
+                })
+                .collect(),
+            workers: hub
+                .workers
+                .iter()
+                .enumerate()
+                .map(|(i, &[frames, requests])| WorkerStat {
+                    worker: i as u16,
+                    frames,
+                    requests,
+                })
+                .collect(),
+            queue_highwater: hub.queue_highwater,
+            shed: hub.shed,
+            timings: Vec::new(),
+        }
     }
 }
 
 /// Per-session (per-connection) counters: the payload of a `Report`
 /// response. Purely session-local, so replies stay deterministic.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Request frames served.
     pub frames: u64,
@@ -423,14 +364,8 @@ pub struct SessionStats {
     pub explains: u64,
     /// Report requests (this one included).
     pub reports: u64,
-    /// Individual argument checks executed.
-    pub checks: u64,
-    /// Bulk page-run probes executed.
-    pub run_probes: u64,
-    /// Bulk NUL scans executed.
-    pub nul_scans: u64,
-    /// Bytes covered by the bulk kernels.
-    pub bytes_scanned: u64,
+    /// The check kernels' work over every validate.
+    pub checks: CheckCounters,
     /// Malformed messages answered with an error response.
     pub errors: u64,
 }
@@ -438,8 +373,10 @@ pub struct SessionStats {
 impl SessionStats {
     /// The fixed-order counter list a `Report` response carries. The
     /// order is part of the wire contract: changing it changes reply
-    /// bytes.
+    /// bytes. `checks` counts individual argument checks: heap-table
+    /// resolutions, page-run probes and NUL scans.
     pub fn as_counters(&self) -> Vec<(String, u64)> {
+        let c = &self.checks;
         [
             ("frames", self.frames),
             ("requests", self.requests),
@@ -451,15 +388,49 @@ impl SessionStats {
             ("unknown_functions", self.unknown_functions),
             ("explains", self.explains),
             ("reports", self.reports),
-            ("checks", self.checks),
-            ("run_probes", self.run_probes),
-            ("nul_scans", self.nul_scans),
-            ("bytes_scanned", self.bytes_scanned),
+            ("checks", c.table_hits + c.run_probes + c.nul_scans),
+            ("run_probes", c.run_probes),
+            ("nul_scans", c.nul_scans),
+            ("bytes_scanned", c.bytes_scanned),
             ("errors", self.errors),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
+    }
+
+    /// Add the counts `now` gathered since `then`, field by field.
+    fn add_since(&mut self, now: &SessionStats, then: &SessionStats) {
+        let SessionStats {
+            frames,
+            requests,
+            pings,
+            validates,
+            admitted,
+            admitted_unchecked,
+            rejected,
+            unknown_functions,
+            explains,
+            reports,
+            checks,
+            errors,
+        } = *now;
+        self.frames += frames - then.frames;
+        self.requests += requests - then.requests;
+        self.pings += pings - then.pings;
+        self.validates += validates - then.validates;
+        self.admitted += admitted - then.admitted;
+        self.admitted_unchecked += admitted_unchecked - then.admitted_unchecked;
+        self.rejected += rejected - then.rejected;
+        self.unknown_functions += unknown_functions - then.unknown_functions;
+        self.explains += explains - then.explains;
+        self.reports += reports - then.reports;
+        let c = &mut self.checks;
+        c.table_hits += checks.table_hits - then.checks.table_hits;
+        c.run_probes += checks.run_probes - then.checks.run_probes;
+        c.nul_scans += checks.nul_scans - then.checks.nul_scans;
+        c.bytes_scanned += checks.bytes_scanned - then.checks.bytes_scanned;
+        self.errors += errors - then.errors;
     }
 }
 
@@ -472,96 +443,54 @@ pub struct SessionOutcome {
     pub stats: SessionStats,
 }
 
-/// Counts of the frame being served that the daemon-global and
-/// per-worker counters have not seen yet. A session adds them once
-/// before a `Stats` request runs and once before the reply frame is
-/// written, so a sequential client reads the same counts as if every
-/// request had added its own.
-#[derive(Debug, Default)]
-struct Pending {
-    frames: u64,
-    requests: u64,
-    validates: u64,
-    admits: u64,
-    rejects: u64,
-    protocol_errors: u64,
-    worker_requests: u64,
-}
-
-impl Pending {
-    fn publish(&mut self, counters: &ServeCounters, cells: &WorkerCells) {
-        let Pending {
-            frames,
-            requests,
-            validates,
-            admits,
-            rejects,
-            protocol_errors,
-            worker_requests,
-        } = std::mem::take(self);
-        for (counter, n) in [
-            (&counters.frames, frames),
-            (&counters.requests, requests),
-            (&counters.validates, validates),
-            (&counters.admits, admits),
-            (&counters.rejects, rejects),
-            (&counters.protocol_errors, protocol_errors),
-            (&cells.frames, frames),
-            (&cells.requests, worker_requests),
-        ] {
-            if n != 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// One connection's state: the daemon-wide state it reports to, and
-/// its own counters and reused argument vector.
+/// One connection's state: the hub it publishes to, its own counters,
+/// what of them the hub has seen, and its reused buffers.
 struct Session<'a> {
     plans: &'a ServePlans,
-    counters: &'a ServeCounters,
-    telemetry: &'a ServeTelemetry,
     hub: &'a StatsHub,
-    cells: &'a WorkerCells,
+    worker: usize,
     stats: SessionStats,
-    pending: Pending,
+    /// `stats` as last published.
+    published: SessionStats,
+    /// Per-function `[admitted, rejected, unchecked]` not yet published.
+    outcomes: Vec<[u64; 3]>,
     args: Vec<SimValue>,
 }
 
 impl Session<'_> {
+    /// Hand the hub everything counted since the last publish.
+    fn publish(&mut self) {
+        self.hub.publish(
+            self.worker,
+            &self.stats,
+            &self.published,
+            &mut self.outcomes,
+        );
+        self.published = self.stats;
+    }
+
     /// Answer one request message by encoding its response into `out`;
     /// returns whether it asked the daemon to shut down.
-    fn handle_message(&mut self, raw: &[u8], traced: bool, out: &mut Vec<u8>) -> bool {
-        let req = match RequestRef::decode(raw, &mut self.args) {
-            Ok(req) => req,
+    fn handle_message(&mut self, raw: &[u8], out: &mut Vec<u8>) -> bool {
+        match RequestRef::decode(raw, &mut self.args) {
+            Ok(req) => self.handle_request(req, out),
             Err(e) => {
                 self.stats.errors += 1;
-                self.pending.protocol_errors += 1;
                 flight().record("frame-error", "", &format!("bad request: {e}"));
                 Response::Error {
                     message: format!("bad request: {e}"),
                 }
                 .encode(out);
-                return false;
+                false
             }
-        };
-        let started = traced.then(std::time::Instant::now);
-        let stop = self.handle_request(req, out);
-        self.pending.worker_requests += 1;
-        if let Some(s) = started {
-            self.telemetry
-                .record(request_kind(req), s.elapsed().as_nanos() as u64);
         }
-        stop
     }
 
-    /// Count a frame-level protocol error, publish the pending counts
-    /// and answer with one error frame.
+    /// Count a frame-level protocol error, publish and answer with one
+    /// error frame.
     fn protocol_error(&mut self, conn: &mut dyn Conn, out: &mut Vec<u8>, reason: String) {
         self.stats.errors += 1;
-        self.pending.protocol_errors += 1;
-        self.pending.publish(self.counters, self.cells);
+        self.publish();
         flight().record("frame-error", "", &reason);
         write_error(conn, out, format!("protocol error: {reason}"));
     }
@@ -569,7 +498,6 @@ impl Session<'_> {
     fn handle_request(&mut self, req: RequestRef<'_>, out: &mut Vec<u8>) -> bool {
         let stats = &mut self.stats;
         stats.requests += 1;
-        self.pending.requests += 1;
         match req {
             RequestRef::Ping => {
                 stats.pings += 1;
@@ -577,30 +505,31 @@ impl Session<'_> {
             }
             RequestRef::Validate { function } => {
                 stats.validates += 1;
-                self.pending.validates += 1;
-                let mut ctrs = CheckCounters::default();
-                let outcome = self.plans.check(function, &self.args, &mut ctrs);
-                stats.checks += ctrs.table_hits + ctrs.run_probes + ctrs.nul_scans;
-                stats.run_probes += ctrs.run_probes;
-                stats.nul_scans += ctrs.nul_scans;
-                stats.bytes_scanned += ctrs.bytes_scanned;
-                if let Some(i) = outcome.function {
-                    self.hub.record_outcome(i, outcome.verdict);
-                }
-                match outcome.verdict {
+                let outcome = self.plans.check(function, &self.args, &mut stats.checks);
+                let column = match outcome.verdict {
                     VerdictRef::Admit => {
                         stats.admitted += 1;
-                        self.pending.admits += 1;
+                        Some(0)
+                    }
+                    // A repair hint is still a failed validation; it
+                    // lands in the reject column so the deterministic
+                    // stats are identical whether or not the hint gate
+                    // is on.
+                    VerdictRef::Reject { .. } | VerdictRef::WouldRepair { .. } => {
+                        stats.rejected += 1;
+                        Some(1)
                     }
                     VerdictRef::AdmitUnchecked => {
                         stats.admitted_unchecked += 1;
-                        self.pending.admits += 1;
+                        Some(2)
                     }
-                    VerdictRef::Reject { .. } | VerdictRef::WouldRepair { .. } => {
-                        stats.rejected += 1;
-                        self.pending.rejects += 1;
+                    VerdictRef::UnknownFunction => {
+                        stats.unknown_functions += 1;
+                        None
                     }
-                    VerdictRef::UnknownFunction => stats.unknown_functions += 1,
+                };
+                if let (Some(i), Some(column)) = (outcome.function, column) {
+                    self.outcomes[i][column] += 1;
                 }
                 outcome.verdict.encode(out);
             }
@@ -622,24 +551,13 @@ impl Session<'_> {
                 Response::Bye.encode(out);
                 return true;
             }
-            RequestRef::Stats { timings } => {
-                self.pending.publish(self.counters, self.cells);
-                Response::Stats(self.hub.stats_reply(self.counters, self.telemetry, timings))
-                    .encode(out);
+            // `timings` is accepted and answered with an empty list.
+            RequestRef::Stats { .. } => {
+                self.publish();
+                Response::Stats(self.hub.stats_reply()).encode(out);
             }
         }
         false
-    }
-}
-
-fn request_kind(req: RequestRef<'_>) -> &'static str {
-    match req {
-        RequestRef::Ping => "ping",
-        RequestRef::Validate { .. } => "validate",
-        RequestRef::Explain { .. } => "explain",
-        RequestRef::Report => "report",
-        RequestRef::Shutdown => "shutdown",
-        RequestRef::Stats { .. } => "stats",
     }
 }
 
@@ -662,19 +580,16 @@ pub fn serve_session(
     conn: &mut dyn Conn,
     plans: &ServePlans,
     limits: &Limits,
-    counters: &ServeCounters,
-    telemetry: &ServeTelemetry,
     hub: &StatsHub,
     worker: usize,
 ) -> SessionOutcome {
     let mut session = Session {
         plans,
-        counters,
-        telemetry,
         hub,
-        cells: &hub.workers[worker.min(hub.workers.len() - 1)],
+        worker,
         stats: SessionStats::default(),
-        pending: Pending::default(),
+        published: SessionStats::default(),
+        outcomes: vec![[0; 3]; hub.fn_names.len()],
         args: Vec::new(),
     };
     let mut shutdown = false;
@@ -696,14 +611,12 @@ pub fn serve_session(
             }
         };
         session.stats.frames += 1;
-        session.pending.frames += 1;
-        let traced = healers_trace::enabled();
         let mut reply = FrameEncoder::new(&mut out, DIR_RESPONSE);
         for raw in frame.messages() {
-            reply.message(|buf| shutdown |= session.handle_message(raw, traced, buf));
+            reply.message(|buf| shutdown |= session.handle_message(raw, buf));
         }
         let reply = reply.finish();
-        session.pending.publish(counters, session.cells);
+        session.publish();
         if conn.write_all(reply).and_then(|()| conn.flush()).is_err() {
             break; // peer gone mid-reply
         }
@@ -725,7 +638,7 @@ pub struct Daemon {
     accept_handle: JoinHandle<io::Result<()>>,
     worker_handles: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
-    counters: Arc<ServeCounters>,
+    hub: Arc<StatsHub>,
 }
 
 impl Daemon {
@@ -737,8 +650,6 @@ impl Daemon {
         config: DaemonConfig,
     ) -> Daemon {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(ServeCounters::default());
-        let telemetry = Arc::new(ServeTelemetry::default());
         let hub = Arc::new(StatsHub::new(plans.functions(), config.workers.max(1)));
         let limits = config.limits;
         let (queue_tx, queue_rx) = sync_channel::<Box<dyn Conn>>(config.queue_depth.max(1));
@@ -749,23 +660,13 @@ impl Daemon {
             let queue_rx = Arc::clone(&queue_rx);
             let plans = Arc::clone(&plans);
             let shutdown = Arc::clone(&shutdown);
-            let counters = Arc::clone(&counters);
-            let telemetry = Arc::clone(&telemetry);
             let hub = Arc::clone(&hub);
             worker_handles.push(std::thread::spawn(move || loop {
                 // Hold the lock only to dequeue: sessions run unlocked.
                 let conn = { queue_rx.lock().unwrap().recv() };
                 let Ok(mut conn) = conn else { return };
-                hub.dequeue();
-                let outcome = serve_session(
-                    conn.as_mut(),
-                    &plans,
-                    &limits,
-                    &counters,
-                    &telemetry,
-                    &hub,
-                    worker,
-                );
+                hub.dequeue(false);
+                let outcome = serve_session(conn.as_mut(), &plans, &limits, &hub, worker);
                 if outcome.shutdown {
                     shutdown.store(true, Ordering::SeqCst);
                 }
@@ -773,7 +674,6 @@ impl Daemon {
         }
 
         let accept_shutdown = Arc::clone(&shutdown);
-        let accept_counters = Arc::clone(&counters);
         let accept_hub = Arc::clone(&hub);
         let accept_handle = std::thread::spawn(move || -> io::Result<()> {
             while !accept_shutdown.load(Ordering::SeqCst) {
@@ -783,14 +683,12 @@ impl Daemon {
                     Err(e) if e.kind() == io::ErrorKind::BrokenPipe => break,
                     Err(e) => return Err(e),
                 };
-                accept_counters.connections.fetch_add(1, Ordering::Relaxed);
-                accept_hub.enqueue();
+                accept_hub.accept();
                 match queue_tx.try_send(conn) {
                     Ok(()) => {}
                     Err(TrySendError::Full(mut conn)) => {
                         // Shed: bounded queue, never unbounded buffering.
-                        accept_hub.dequeue();
-                        accept_counters.shed.fetch_add(1, Ordering::Relaxed);
+                        accept_hub.dequeue(true);
                         flight().record("queue-shed", "", "connection queue full");
                         write_error(
                             conn.as_mut(),
@@ -809,13 +707,13 @@ impl Daemon {
             accept_handle,
             worker_handles,
             shutdown,
-            counters,
+            hub,
         }
     }
 
-    /// Daemon-global counters.
-    pub fn counters(&self) -> Arc<ServeCounters> {
-        Arc::clone(&self.counters)
+    /// The daemon's stats hub; it outlives [`Daemon::join`].
+    pub fn hub(&self) -> Arc<StatsHub> {
+        Arc::clone(&self.hub)
     }
 
     /// Ask the accept loop to stop (without a `Shutdown` request).

@@ -37,8 +37,9 @@
 //! # Determinism contract
 //!
 //! A connection's reply bytes are a pure function of that connection's
-//! request bytes and the daemon's plan set. Sessions share no mutable
-//! state — [`proto::Request::Report`] aggregates the *session's own*
+//! request bytes and the daemon's plan set. Sessions share only the
+//! daemon's [`StatsHub`], which they write and only `Stats` reads —
+//! [`proto::Request::Report`] answers with the *session's own*
 //! counters, never daemon globals — and one worker owns a connection
 //! from accept to close, answering frames strictly in order. Reply
 //! streams are therefore byte-identical for any `--workers` value;
@@ -54,9 +55,10 @@
 //! `--workers` given the same sequential client traffic (pinned by
 //! `tests/golden/serve.stats.txt` and, mid-frame, by
 //! `serve.batched.*`), while per-worker counters, the queue
-//! high-water mark, shed counts, and opt-in `--timings` percentiles
-//! are live scheduling state outside the contract. Script transcripts
-//! render only the deterministic subset.
+//! high-water mark and shed counts are live scheduling state outside
+//! the contract. The reply's `timings` list is always empty: the wire
+//! format can carry latency percentiles, but the daemon keeps none.
+//! Script transcripts render only the deterministic subset.
 
 pub mod client;
 pub mod daemon;
@@ -67,7 +69,7 @@ pub mod proto;
 pub mod script;
 
 pub use client::run_script;
-pub use daemon::{Daemon, DaemonConfig, ServeCounters, StatsHub};
+pub use daemon::{Daemon, DaemonConfig, StatsHub};
 pub use frame::{FrameError, Limits, MAGIC, PROTOCOL_VERSION};
 pub use pipe::{duplex, DuplexStream};
 pub use plans::{PlanConfig, ServePlans};

@@ -94,8 +94,8 @@ pub enum Request {
     Shutdown,
     /// The daemon-wide live statistics snapshot.
     Stats {
-        /// Include wall-clock latency percentiles (nondeterministic;
-        /// only populated while the telemetry gate is on).
+        /// Ask for wall-clock latency percentiles. The daemon keeps no
+        /// latency histograms, so the reply's `timings` is always empty.
         timings: bool,
     },
 }
@@ -255,8 +255,8 @@ pub struct WorkerStat {
     pub requests: u64,
 }
 
-/// One latency histogram summary in a [`StatsReply`] — opt-in, only
-/// populated while the telemetry gate is on.
+/// One latency histogram summary in a [`StatsReply`]. The wire
+/// format carries it; the daemon sends none (see [`Request::Stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingStat {
     /// Metric name (request kind).
@@ -289,8 +289,7 @@ pub struct StatsReply {
     pub queue_highwater: u64,
     /// Connections shed with a busy frame — nondeterministic.
     pub shed: u64,
-    /// Latency summaries (empty unless requested and the telemetry
-    /// gate is on) — nondeterministic.
+    /// Latency summaries — always empty from the daemon.
     pub timings: Vec<TimingStat>,
 }
 

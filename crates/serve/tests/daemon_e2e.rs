@@ -272,13 +272,7 @@ fn full_connection_queue_sheds_with_a_busy_frame() {
     let mut rest = Vec::new();
     c.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
-    assert_eq!(
-        daemon
-            .counters()
-            .shed
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(daemon.hub().stats_reply().shed, 1);
 
     // A and B are still serviceable: close A so the worker picks up B.
     drop(a);
@@ -393,6 +387,51 @@ fn stats_deterministic_subset_is_worker_count_invariant() {
     );
     let abs = functions.iter().find(|f| f.function == "abs").unwrap();
     assert_eq!((abs.admitted, abs.rejected, abs.unchecked), (0, 0, 1));
+}
+
+/// The per-worker rows of a `Stats` reply count the same frames and
+/// requests as its totals, the `Stats` request itself included, even
+/// mid-frame; and `stats timings` is answered with no timings.
+#[test]
+fn stats_worker_rows_sum_to_the_totals() {
+    let plans = test_plans();
+    let script = Script::parse(
+        "validate strlen ptr:str\nping\nstats timings\nreport\n\nvalidate abs int:-7\nstats\n",
+    )
+    .unwrap();
+    for workers in [1usize, 4] {
+        let (tx, daemon) = spawn_daemon(&plans, workers, 8);
+        let mut conn = dial(&tx);
+        run_script(&mut conn, &script, &Limits::default()).unwrap();
+        drop(conn);
+        let mut conn = dial(&tx);
+        let replies = run_script(&mut conn, &script, &Limits::default()).unwrap();
+        drop((conn, tx));
+        finish(daemon);
+        let stats: Vec<_> = replies
+            .frames
+            .iter()
+            .flatten()
+            .filter_map(|r| match r {
+                Response::Stats(s) => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stats.len(), 2);
+        for s in stats {
+            let total = |k: &str| s.totals.iter().find(|(n, _)| n == k).unwrap().1;
+            let frames: u64 = s.workers.iter().map(|w| w.frames).sum();
+            let requests: u64 = s.workers.iter().map(|w| w.requests).sum();
+            assert_eq!(
+                (frames, requests),
+                (total("frames"), total("requests")),
+                "--workers {workers}: worker rows {:?} vs totals {:?}",
+                s.workers,
+                s.totals
+            );
+            assert!(s.timings.is_empty(), "--workers {workers}: {:?}", s.timings);
+        }
+    }
 }
 
 /// A `Shutdown` request is acknowledged with `Bye` and stops the

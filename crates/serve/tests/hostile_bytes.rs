@@ -9,16 +9,20 @@
 //! one with an `Error`), and a malformed frame gets one error frame,
 //! after which the session closes. The decoders' half of the contract
 //! is `random_bytes_never_panic_the_decoders` in `proto_roundtrip.rs`.
+//!
+//! However the session ends (EOF, a protocol error, a shutdown, or a
+//! peer gone mid-reply), the hub's deterministic totals must then equal
+//! the session's own counters: every exit path publishes.
 
 use std::io::{Read, Write};
 use std::thread;
 
 use healers_libc::Libc;
-use healers_serve::daemon::{serve_session, ServeTelemetry};
+use healers_serve::daemon::{serve_session, SessionOutcome};
 use healers_serve::frame::{
     encode_frame, read_frame, FrameError, Limits, DIR_REQUEST, DIR_RESPONSE, HEADER_LEN,
 };
-use healers_serve::{duplex, PlanConfig, Request, Response, ServeCounters, ServePlans, StatsHub};
+use healers_serve::{duplex, PlanConfig, Request, Response, ServePlans, StatsHub};
 use healers_simproc::SimValue;
 
 const CASES: u64 = 600;
@@ -232,17 +236,44 @@ fn answers(request: &Option<Request>, response: &Response) -> bool {
     )
 }
 
+/// The hub a lone session published to holds exactly that session's
+/// counts. `connections` stays 0: the accept loop counts those.
+fn assert_published(what: &str, hub: &StatsHub, outcome: &SessionOutcome) {
+    let s = &outcome.stats;
+    let want: Vec<(String, u64)> = [
+        ("connections", 0),
+        ("frames", s.frames),
+        ("requests", s.requests),
+        ("validates", s.validates),
+        ("admits", s.admitted + s.admitted_unchecked),
+        ("rejects", s.rejected),
+        ("protocol_errors", s.errors),
+    ]
+    .into_iter()
+    .map(|(name, n)| (name.to_string(), n))
+    .collect();
+    let reply = hub.stats_reply();
+    assert_eq!(reply.totals, want, "{what}: unpublished counts");
+    let tallied: u64 = reply
+        .functions
+        .iter()
+        .map(|f| f.admitted + f.rejected + f.unchecked)
+        .sum();
+    assert_eq!(
+        tallied,
+        s.validates - s.unknown_functions,
+        "{what}: unpublished validate outcomes"
+    );
+}
+
 /// Feed `input` to a fresh session and check its answers.
 fn check(case: u64, plans: &ServePlans, input: &[u8]) {
     let want = expected(input);
     let (mut client, mut server) = duplex(1 << 20);
+    let hub = StatsHub::new(plans.functions(), 1);
     thread::scope(|scope| {
-        let session = scope.spawn(move || {
-            let counters = ServeCounters::default();
-            let telemetry = ServeTelemetry::default();
-            let hub = StatsHub::new(plans.functions(), 1);
-            serve_session(&mut server, plans, &LIMITS, &counters, &telemetry, &hub, 0)
-        });
+        let hub = &hub;
+        let session = scope.spawn(move || serve_session(&mut server, plans, &LIMITS, hub, 0));
         client.write_all(input).unwrap();
         for (i, requests) in want.frames.iter().enumerate() {
             let reply = read_frame(&mut client, &LIMITS)
@@ -298,6 +329,35 @@ fn check(case: u64, plans: &ServePlans, input: &[u8]) {
         drop(client);
         let outcome = session.join().expect("the session never panics");
         assert_eq!(outcome.shutdown, want.shutdown, "case {case}");
+        assert_published(&format!("case {case}"), hub, &outcome);
+    });
+}
+
+/// The peer hangs up before reading a reply too large for the pipe, so
+/// the session's reply write fails.
+fn check_peer_gone(plans: &ServePlans) {
+    let (mut client, mut server) = duplex(16);
+    let hub = StatsHub::new(plans.functions(), 1);
+    let mut validate = Vec::new();
+    Request::Validate {
+        function: "strlen".into(),
+        args: vec![SimValue::NULL],
+    }
+    .encode(&mut validate);
+    thread::scope(|scope| {
+        let hub = &hub;
+        let session = scope.spawn(move || serve_session(&mut server, plans, &LIMITS, hub, 0));
+        client
+            .write_all(&encode_frame(DIR_REQUEST, &[validate]))
+            .unwrap();
+        drop(client);
+        let outcome = session.join().expect("the session never panics");
+        assert_eq!(
+            (outcome.stats.frames, outcome.stats.rejected),
+            (1, 1),
+            "peer gone"
+        );
+        assert_published("peer gone", hub, &outcome);
     });
 }
 
@@ -323,4 +383,5 @@ fn hostile_frames_never_panic_and_are_answered_in_position_or_closed() {
     }
     // The mutations must reach every branch of the contract.
     assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+    check_peer_gone(&plans);
 }

@@ -1,8 +1,9 @@
 //! Process-global named counters: the live progress of a campaign.
 //!
-//! The wrapper's `WrapperStats`, the serve daemon's `StatsHub`, and the
-//! campaign's `CampaignMetrics` are all *session-scoped*: they answer
-//! "what happened in this run" after the run ends. The
+//! The wrapper's `WrapperStats` and the campaign's `CampaignMetrics`
+//! are *session-scoped*: they answer "what happened in this run" after
+//! the run ends. The serve daemon keeps its live counts apart, in one
+//! `StatsHub` that its `Stats` request reads. The
 //! [`MetricsRegistry`] is the live complement — a process-global table
 //! of named counters that workers bump while an observer samples them.
 //! Its one observer is the `healers campaign --progress` heartbeat,

@@ -1111,11 +1111,11 @@ fn cmd_serve_daemon(rest: &[String]) -> Result<(), Error> {
             limits: healers::serve::Limits::default(),
         },
     );
-    let counters = daemon.counters();
+    let hub = daemon.hub();
     let result = daemon.join();
     let _ = std::fs::remove_file(&socket);
     result.map_err(|e| Error::io("serve daemon: accept loop failed", e))?;
-    for (name, value) in counters.snapshot() {
+    for (name, value) in hub.snapshot() {
         eprintln!("  {name:<16} {value}");
     }
     Ok(())
@@ -1239,9 +1239,10 @@ fn cmd_serve_send(rest: &[String]) -> Result<(), Error> {
 /// scheduling-dependent sections; `--deterministic` restricts the
 /// output to the worker-count-invariant subset (what the CI stats-smoke
 /// job byte-diffs) and `--prom` renders the Prometheus text exposition
-/// format. `--timings` asks the daemon for its gated latency
-/// percentiles; `--watch` re-polls every second on the same connection
-/// until the daemon goes away.
+/// format. `--timings` asks the daemon for latency percentiles, which
+/// it answers with an empty list (it keeps no latency histograms);
+/// `--watch` re-polls every second on the same connection until the
+/// daemon goes away.
 fn cmd_serve_stats(rest: &[String]) -> Result<(), Error> {
     let mut socket: Option<PathBuf> = None;
     let mut prom = false;

@@ -4,7 +4,7 @@
 //! | Golden | Command |
 //! |---|---|
 //! | `serve.smoke.txt`, `serve.smoke.bin` | `healers serve exec --script tests/serve_scripts/smoke.txt --raw-out F strlen strcpy abs memset` |
-//! | `serve.batched.txt`, `serve.batched.bin` | the same with `batched.txt` |
+//! | `serve.batched.txt`, `serve.batched.bin` | the same with `batched.txt` and `--workers 1` (a `stats` reply carries one row per worker) |
 //! | `serve.stats.txt` | `healers serve stats --deterministic` against a `serve daemon` after `serve send --script traffic.txt` |
 //!
 //! The same daemon run also pins the daemon's exit summary on stderr

@@ -17,10 +17,10 @@ use std::io::{self, Read, Write};
 
 use healers::core::CheckCounters;
 use healers::libc::Libc;
-use healers::serve::daemon::{serve_session, ServeTelemetry};
+use healers::serve::daemon::serve_session;
 use healers::serve::frame::{encode_frame, read_frame, DIR_REQUEST, DIR_RESPONSE};
 use healers::serve::{
-    Limits, PlanConfig, Request, Response, ServeCounters, ServePlans, StatsHub, ValidateVerdict,
+    Limits, PlanConfig, Request, Response, ServePlans, StatsHub, ValidateVerdict,
 };
 use healers::simproc::{SimValue, INVALID_PTR};
 
@@ -152,11 +152,8 @@ fn session(plans: &ServePlans, requests: &[&[u8]], reply_room: usize) -> (u64, V
         input: &input,
         output: Vec::with_capacity(reply_room),
     };
-    let counters = ServeCounters::default();
-    let telemetry = ServeTelemetry::default();
     let hub = StatsHub::new(plans.functions(), 1);
-    let (allocs, outcome) =
-        allocations(|| serve_session(&mut conn, plans, &limits(), &counters, &telemetry, &hub, 0));
+    let (allocs, outcome) = allocations(|| serve_session(&mut conn, plans, &limits(), &hub, 0));
     assert!(!outcome.shutdown);
     assert_eq!(outcome.stats.errors, 0);
     (allocs, conn.output)
