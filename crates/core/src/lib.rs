@@ -57,6 +57,7 @@ pub mod decl;
 pub mod emit;
 pub mod overrides;
 pub mod plan;
+mod toctou;
 pub mod wrapper;
 pub mod xml;
 

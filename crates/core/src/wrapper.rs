@@ -2129,114 +2129,6 @@ mod tests {
         assert_eq!(w.stats.recheck_failures, 1);
     }
 
-    /// A race's world preparation, through the wrapper (interposition
-    /// wraps every thread, and the stream/dir tables only know what
-    /// they saw created): returns `(victim args, mutator target)`.
-    type RaceSetup = fn(
-        &Libc,
-        &mut RobustnessWrapper,
-        &mut World,
-    ) -> Result<(Vec<SimValue>, SimValue), SimFault>;
-
-    #[test]
-    fn window_races_crash_the_stock_wrapper_and_are_rejected_when_revalidating() {
-        use healers_inject::WindowMutator;
-        use healers_simproc::{run_in_child, ChildResult};
-
-        // (victim, every function the race touches, racing thread's
-        // body, setup). Each setup makes a valid victim call; the
-        // mutator revokes exactly the resource the checks just passed.
-        let races: [(&str, &[&str], WindowMutator, RaceSetup); 4] = [
-            (
-                "strlen",
-                &["strlen", "malloc", "strcpy", "free"],
-                WindowMutator::FreeArg,
-                |libc, wr, w| {
-                    let block = wr.call(libc, w, "malloc", &[SimValue::Int(16)])?;
-                    let s = w.alloc_cstr("hello");
-                    wr.call(libc, w, "strcpy", &[block, SimValue::Ptr(s)])?;
-                    Ok((vec![block], block))
-                },
-            ),
-            (
-                "memset",
-                &["memset", "malloc", "realloc"],
-                WindowMutator::ShrinkArg(8),
-                |libc, wr, w| {
-                    let block = wr.call(libc, w, "malloc", &[SimValue::Int(64)])?;
-                    Ok((vec![block, SimValue::Int(7), SimValue::Int(64)], block))
-                },
-            ),
-            (
-                "fwrite",
-                &["fwrite", "fopen", "fclose"],
-                WindowMutator::CloseStream,
-                |libc, wr, w| {
-                    let (path, mode) = (w.alloc_cstr("/tmp/toctou"), w.alloc_cstr("w"));
-                    let f = wr.call(
-                        libc,
-                        w,
-                        "fopen",
-                        &[SimValue::Ptr(path), SimValue::Ptr(mode)],
-                    )?;
-                    let buf = w.alloc_buf(32);
-                    let args = vec![SimValue::Ptr(buf), SimValue::Int(1), SimValue::Int(8), f];
-                    Ok((args, f))
-                },
-            ),
-            (
-                "readdir",
-                &["readdir", "opendir", "closedir"],
-                WindowMutator::CloseDir,
-                |libc, wr, w| {
-                    let path = w.alloc_cstr("/tmp");
-                    let d = wr.call(libc, w, "opendir", &[SimValue::Ptr(path)])?;
-                    Ok((vec![d], d))
-                },
-            ),
-        ];
-        let libc = Libc::standard();
-        for (victim, functions, mutator, setup) in races {
-            let decls = analyze(&libc, functions);
-            for revalidate in [false, true] {
-                let mut config = WrapperConfig::semi_auto();
-                config.revalidate_on_preempt = revalidate;
-                let mut wrapper = WrapperBuilder::new()
-                    .decls(decls.clone())
-                    .config(config)
-                    .build();
-                let mut verdict = None;
-                // The mutator's call is individually valid, so the
-                // wrapper passes it; only the victim's stale admission
-                // is left holding the revoked resource.
-                let (result, _) = run_in_child(&World::new_guarded(), |w: &mut World| {
-                    w.proc.spawn_thread();
-                    let (args, target) = setup(&libc, &mut wrapper, w)?;
-                    let pending = wrapper.begin_call(&libc, w, victim, &args);
-                    w.proc.switch_to(1);
-                    wrapper.call(&libc, w, mutator.function(), &mutator.args(target))?;
-                    w.proc.switch_to(0);
-                    let (value, v) = wrapper.finish_call(&libc, w, pending, true)?;
-                    verdict = Some(v);
-                    Ok(value)
-                });
-                let what = format!("{victim}/{mutator:?}, revalidate {revalidate}");
-                if revalidate {
-                    assert!(
-                        matches!(result, ChildResult::Returned(_))
-                            && matches!(verdict, Some(Verdict::Rejected { .. })),
-                        "{what}: expected a rejected call, got {result:?} / {verdict:?}"
-                    );
-                } else {
-                    assert!(
-                        matches!(result, ChildResult::Faulted(_)),
-                        "{what}: expected a crash, got {result:?} / {verdict:?}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn begin_finish_matches_plain_call_without_preemption() {
         // `call` is literally begin+finish(false); a split drive of the
